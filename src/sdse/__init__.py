@@ -12,8 +12,6 @@ from .evaluator import (
     alloc_churn_job,
     calibrate_synthetic_cost,
     evaluate_mapping,
-    scenario_energy,
-    scenario_makespan,
     scenario_metrics,
     synthetic_job,
 )
@@ -51,7 +49,6 @@ from .selector import (
     kendall_tau,
     select_subset,
     select_subset_sfs,
-    update_training_set,
 )
 from .workpool import (
     BatchInFlightError,

@@ -6,6 +6,12 @@ interconnect for every channel whose endpoints sit on distinct processors.
 Sums use ``math.fsum`` so results are exactly rounded and independent of
 summation order.
 
+Each spec is compiled once, on first evaluation, into index form
+(:attr:`SystemSpec.compiled_scenarios`): per scenario, (process index,
+demand) pairs and (from, to, demand) channel triples for non-zero demands.
+One kernel evaluates a compiled scenario against a gene vector by index, with
+no name lookups; every evaluation path goes through it.
+
 The synthetic job body is a SHA-256 hash chain over a fixed 64 KiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
 of these jobs scale across worker threads while staying bit-deterministic.
@@ -21,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .model import Mapping, SystemSpec
+from .model import CompiledScenario, Mapping, SystemSpec
 
 AGGREGATES = ("average", "worst")
 
@@ -62,42 +68,33 @@ def scenario_metrics(spec: SystemSpec, mapping: Mapping, scenario) -> ScenarioMe
 
     where busy(r) sums comp(p)/speed(r) over processes p mapped onto r, and a
     channel is external when its endpoints are mapped to distinct processors.
+    One of the spec's own scenarios uses its cached compiled form; any other
+    scenario is compiled for this call.
     """
-    processors = spec.architecture.processors
-    genes = mapping.genes
-    comp = scenario.comp
-    busy_terms: list[list[float]] = [[] for _ in processors]
-    for i, pname in enumerate(spec.processes):
-        demand = comp.get(pname, 0.0)
-        if demand:
-            g = genes[i]
-            busy_terms[g].append(demand / processors[g].speed)
-    busy = [math.fsum(terms) for terms in busy_terms]
-
-    data = scenario.data
-    index = spec.process_index
-    external = [
-        demand
-        for (frm, to), demand in data.items()
-        if demand and genes[index[frm]] != genes[index[to]]
-    ]
-    total_external = math.fsum(external)
-
-    ic = spec.architecture.interconnect
-    makespan = max(busy) + total_external / ic.bandwidth
-    energy = (
-        math.fsum(p.power * b for p, b in zip(processors, busy))
-        + ic.energy_per_unit * total_external
-    )
+    for own, compiled in zip(spec.scenarios, spec.compiled_scenarios):
+        if own is scenario:
+            break
+    else:
+        compiled = spec.compile_scenario(scenario)
+    makespan, energy = _scenario_cost(compiled, mapping.genes)
     return ScenarioMetrics(makespan=makespan, energy=energy)
 
 
-def scenario_makespan(spec: SystemSpec, mapping: Mapping, scenario) -> float:
-    return scenario_metrics(spec, mapping, scenario).makespan
-
-
-def scenario_energy(spec: SystemSpec, mapping: Mapping, scenario) -> float:
-    return scenario_metrics(spec, mapping, scenario).energy
+def _scenario_cost(compiled: CompiledScenario, genes: Sequence[int]) -> tuple[float, float]:
+    """(makespan, energy) of one compiled scenario; the only evaluation path."""
+    speed = compiled.speed
+    busy_terms: list[list[float]] = [[] for _ in speed]
+    for i, demand in compiled.comp:
+        g = genes[i]
+        busy_terms[g].append(demand / speed[g])
+    busy = [math.fsum(terms) for terms in busy_terms]
+    total_external = math.fsum([demand for i, j, demand in compiled.data if genes[i] != genes[j]])
+    makespan = max(busy) + total_external / compiled.bandwidth
+    energy = (
+        math.fsum([p * b for p, b in zip(compiled.power, busy)])
+        + compiled.energy_per_unit * total_external
+    )
+    return makespan, energy
 
 
 def aggregate_values(values: Sequence[float], aggregate: str) -> float:
@@ -118,11 +115,12 @@ def evaluate_mapping(
     if len(subset) == 0:
         raise ValueError("empty scenario subset")
     spec.check_mapping(mapping)
-    scenarios = spec.scenarios
-    metrics = [scenario_metrics(spec, mapping, scenarios[i]) for i in subset]
+    compiled = spec.compiled_scenarios
+    genes = mapping.genes
+    costs = [_scenario_cost(compiled[i], genes) for i in subset]
     return Fitness(
-        value=aggregate_values([m.makespan for m in metrics], aggregate),
-        energy=aggregate_values([m.energy for m in metrics], aggregate),
+        value=aggregate_values([makespan for makespan, _ in costs], aggregate),
+        energy=aggregate_values([energy for _, energy in costs], aggregate),
     )
 
 

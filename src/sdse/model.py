@@ -75,6 +75,29 @@ class Scenario:
     comp: dict[str, float] = field(default_factory=dict)
     data: dict[tuple[str, str], float] = field(default_factory=dict)
 
+    def __hash__(self) -> int:
+        # consistent with the generated __eq__: dicts compare by their items
+        comp, data = frozenset(self.comp.items()), frozenset(self.data.items())
+        return hash((self.name, self.active_apps, comp, data))
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledScenario:
+    """Index-based form of one scenario under one architecture.
+
+    ``comp`` holds (process index, demand) pairs in global process order and
+    ``data`` holds (from index, to index, demand) triples in document order,
+    both for non-zero demands only; the architecture's values are plain
+    tuples and floats, so evaluation needs no name lookups.
+    """
+
+    comp: tuple[tuple[int, float], ...]
+    data: tuple[tuple[int, int, float], ...]
+    speed: tuple[float, ...]
+    power: tuple[float, ...]
+    bandwidth: float
+    energy_per_unit: float
+
 
 @dataclass(frozen=True)
 class Mapping:
@@ -105,6 +128,33 @@ class SystemSpec:
     @cached_property
     def channels(self) -> tuple[tuple[str, str], ...]:
         return tuple(ch for app in self.applications for ch in app.channels)
+
+    @cached_property
+    def compiled_scenarios(self) -> tuple[CompiledScenario, ...]:
+        """Every scenario in index form, built on first use and then shared."""
+        return tuple(self.compile_scenario(s) for s in self.scenarios)
+
+    def compile_scenario(self, scenario: Scenario) -> CompiledScenario:
+        """Index form of any scenario over this spec's processes; raises
+        KeyError for a non-zero data demand on an unknown process."""
+        index = self.process_index
+        processors = self.architecture.processors
+        ic = self.architecture.interconnect
+        comp = scenario.comp
+        return CompiledScenario(
+            comp=tuple(
+                (i, comp[p]) for i, p in enumerate(self.processes) if comp.get(p, 0.0)
+            ),
+            data=tuple(
+                (index[frm], index[to], demand)
+                for (frm, to), demand in scenario.data.items()
+                if demand
+            ),
+            speed=tuple(p.speed for p in processors),
+            power=tuple(p.power for p in processors),
+            bandwidth=ic.bandwidth,
+            energy_per_unit=ic.energy_per_unit,
+        )
 
     @property
     def n_processors(self) -> int:

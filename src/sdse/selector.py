@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .evaluator import Fitness, aggregate_values, evaluate_mapping, full_subset, scenario_metrics
+from .evaluator import Fitness, _scenario_cost, aggregate_values, evaluate_mapping, full_subset
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
@@ -110,15 +110,6 @@ class TrainingSet:
         return [f for _, f in self._entries.values()]
 
 
-def update_training_set(
-    training: TrainingSet, entries: Iterable[tuple[Mapping, Fitness]]
-) -> TrainingSet:
-    """Fold new (mapping, full-set fitness) pairs into the training set."""
-    for mapping, fitness in entries:
-        training.add(mapping, fitness)
-    return training
-
-
 @dataclass(frozen=True)
 class SubsetSnapshot:
     """A published scenario subset: indices, publication version, achieved tau."""
@@ -133,10 +124,8 @@ def _makespan_matrix(
 ) -> list[list[float]]:
     """makespan[i][s] for training mapping i and scenario s; computed once
     per selection pass so candidate subsets only re-aggregate."""
-    return [
-        [scenario_metrics(spec, m, scen).makespan for scen in spec.scenarios]
-        for m in mappings
-    ]
+    compiled = spec.compiled_scenarios
+    return [[_scenario_cost(scen, m.genes)[0] for scen in compiled] for m in mappings]
 
 
 def _subset_scores(

@@ -104,11 +104,6 @@ class JobBatch:
         return None
 
 
-def fetch_job(batch: JobBatch) -> int | None:
-    """Function form of :meth:`JobBatch.fetch`."""
-    return batch.fetch()
-
-
 class WorkPool:
     """Lockless batch pool: persistent workers, barrier-phased lifecycle.
 

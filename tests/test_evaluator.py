@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -8,16 +9,29 @@ import pytest
 from sdse.evaluator import (
     _FNV_OFFSET,
     _SYNTH_SEED,
+    AGGREGATES,
     alloc_churn_job,
     calibrate_synthetic_cost,
     evaluate_mapping,
     full_subset,
-    scenario_energy,
-    scenario_makespan,
+    make_mapping_executor,
     scenario_metrics,
     synthetic_job,
 )
-from sdse.model import Mapping, parse_config, random_mapping
+from sdse.model import (
+    Application,
+    Architecture,
+    Interconnect,
+    Mapping,
+    Processor,
+    Scenario,
+    SystemSpec,
+    parse_config,
+    random_mapping,
+    render_config,
+)
+from sdse.selector import _makespan_matrix
+from sdse.workpool import WorkPool
 
 from conftest import random_dyadic_spec
 
@@ -39,7 +53,7 @@ def _single_proc_spec(speed=1, power=2):
 
 def test_makespan_single_process():
     spec = _single_proc_spec(speed=1)
-    assert scenario_makespan(spec, Mapping(genes=(0,)), spec.scenarios[0]) == 100.0
+    assert scenario_metrics(spec, Mapping(genes=(0,)), spec.scenarios[0]).makespan == 100.0
 
 
 def test_makespan_shared_processor():
@@ -57,29 +71,31 @@ def test_makespan_shared_processor():
             }
         )
     )
-    assert scenario_makespan(spec, Mapping(genes=(0, 0)), spec.scenarios[0]) == 50.0
+    assert scenario_metrics(spec, Mapping(genes=(0, 0)), spec.scenarios[0]).makespan == 50.0
 
 
 def test_makespan_with_external_channel(two_proc_spec):
     # A(60), B(40) on distinct speed-1 processors, channel data 30 at bandwidth 3
-    assert scenario_makespan(two_proc_spec, Mapping(genes=(0, 1)), two_proc_spec.scenarios[0]) == 70.0
+    metrics = scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), two_proc_spec.scenarios[0])
+    assert metrics.makespan == 70.0
 
 
 def test_energy_single_process():
     spec = _single_proc_spec(speed=1, power=2)
-    assert scenario_energy(spec, Mapping(genes=(0,)), spec.scenarios[0]) == 200.0
+    assert scenario_metrics(spec, Mapping(genes=(0,)), spec.scenarios[0]).energy == 200.0
 
 
 def test_energy_zero_demands(two_proc_spec):
     scen = two_proc_spec.scenarios[0]
     zero = type(scen)(name="z", active_apps=scen.active_apps, comp={}, data={})
-    assert scenario_energy(two_proc_spec, Mapping(genes=(0, 1)), zero) == 0.0
-    assert scenario_makespan(two_proc_spec, Mapping(genes=(0, 1)), zero) == 0.0
+    assert scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), zero).energy == 0.0
+    assert scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), zero).makespan == 0.0
 
 
 def test_energy_with_external_channel(two_proc_spec):
     # busy 60 + 40 at power 1 each, plus 0.5 energy/unit for 30 data units
-    assert scenario_energy(two_proc_spec, Mapping(genes=(0, 1)), two_proc_spec.scenarios[0]) == 115.0
+    metrics = scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), two_proc_spec.scenarios[0])
+    assert metrics.energy == 115.0
 
 
 def _two_scenario_spec():
@@ -129,7 +145,7 @@ N_INSTANCES = 150  # the acceptance suite re-runs these at 1000 instances
 
 
 def check_lower_bound(spec, mapping, scen):
-    got = scenario_makespan(spec, mapping, scen)
+    got = scenario_metrics(spec, mapping, scen).makespan
     procs = spec.architecture.processors
     busy = [0.0] * len(procs)
     for i, p in enumerate(spec.processes):
@@ -148,10 +164,10 @@ def check_all_on_fastest(spec, scen):
     fastest = speeds.index(max(speeds))
     mapping = Mapping(genes=tuple(fastest for _ in spec.processes))
     expected = sum(scen.comp.get(p, 0.0) for p in spec.processes) / max(speeds)
-    assert scenario_makespan(spec, mapping, scen) == expected
+    assert scenario_metrics(spec, mapping, scen).makespan == expected
     # no channel crosses the interconnect
     ic = spec.architecture.interconnect
-    energy = scenario_energy(spec, mapping, scen)
+    energy = scenario_metrics(spec, mapping, scen).energy
     busy_energy = spec.architecture.processors[fastest].power * expected
     assert energy == busy_energy + ic.energy_per_unit * 0.0
 
@@ -174,19 +190,19 @@ def check_symmetry(spec, mapping, scen):
 
 
 def check_monotonicity(spec, mapping, scen, rng):
-    base = scenario_makespan(spec, mapping, scen)
+    base = scenario_metrics(spec, mapping, scen).makespan
     if scen.comp:
         p = rng.choice(sorted(scen.comp))
         bumped = dict(scen.comp)
         bumped[p] = bumped[p] + rng.randint(1, 100)
         scen2 = type(scen)(name=scen.name, active_apps=scen.active_apps, comp=bumped, data=scen.data)
-        assert scenario_makespan(spec, mapping, scen2) >= base
+        assert scenario_metrics(spec, mapping, scen2).makespan >= base
     if scen.data:
         ch = rng.choice(sorted(scen.data))
         bumped = dict(scen.data)
         bumped[ch] = bumped[ch] + rng.randint(1, 100)
         scen2 = type(scen)(name=scen.name, active_apps=scen.active_apps, comp=scen.comp, data=bumped)
-        assert scenario_makespan(spec, mapping, scen2) >= base
+        assert scenario_metrics(spec, mapping, scen2).makespan >= base
 
 
 def run_invariant_instances(n_instances: int, seed: int = 1337):
@@ -203,6 +219,174 @@ def run_invariant_instances(n_instances: int, seed: int = 1337):
 
 def test_invariants_randomized():
     run_invariant_instances(N_INSTANCES)
+
+
+# --- compiled evaluator against the name-based reference -----------------
+
+
+def reference_metrics(spec, mapping, scenario):
+    """The name-based evaluator the compiled form replaced, kept as the
+    oracle: (makespan, energy) of one scenario."""
+    processors = spec.architecture.processors
+    genes = mapping.genes
+    comp = scenario.comp
+    busy_terms = [[] for _ in processors]
+    for i, pname in enumerate(spec.processes):
+        demand = comp.get(pname, 0.0)
+        if demand:
+            g = genes[i]
+            busy_terms[g].append(demand / processors[g].speed)
+    busy = [math.fsum(terms) for terms in busy_terms]
+    index = spec.process_index
+    external = [
+        demand
+        for (frm, to), demand in scenario.data.items()
+        if demand and genes[index[frm]] != genes[index[to]]
+    ]
+    total_external = math.fsum(external)
+    ic = spec.architecture.interconnect
+    makespan = max(busy) + total_external / ic.bandwidth
+    energy = (
+        math.fsum(p.power * b for p, b in zip(processors, busy))
+        + ic.energy_per_unit * total_external
+    )
+    return makespan, energy
+
+
+def reference_fitness(spec, mapping, subset, aggregate):
+    metrics = [reference_metrics(spec, mapping, spec.scenarios[i]) for i in subset]
+    if aggregate == "average":
+        return tuple(math.fsum(column) / len(column) for column in zip(*metrics))
+    return tuple(max(column) for column in zip(*metrics))
+
+
+def _demand(rng):
+    # a quarter of the demands are zero; the rest are arbitrary (non-dyadic)
+    # floats, so the sums round and a changed term would show in the last bit
+    return 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 1000.0)
+
+
+def _random_scenario(rng, apps, name):
+    active = frozenset(a.name for a in apps if rng.random() < 0.7)
+    comp = {}
+    data = {}
+    for app in apps:
+        if app.name in active:
+            comp.update((p, _demand(rng)) for p in app.processes)
+            data.update((ch, _demand(rng)) for ch in app.channels)
+    return Scenario(name=name, active_apps=active, comp=comp, data=data)
+
+
+def random_float_spec(rng):
+    """Random valid spec over arbitrary floats, with zero demands and
+    inactive applications."""
+    apps = []
+    for a in range(rng.randint(1, 4)):
+        procs = tuple(f"a{a}p{i}" for i in range(rng.randint(1, 6)))
+        channels = tuple(zip(procs, procs[1:]))
+        apps.append(Application(name=f"app{a}", processes=procs, channels=channels))
+    processors = tuple(
+        Processor(name=f"cpu{i}", speed=rng.uniform(0.1, 5.0), power=rng.uniform(0.0, 3.0))
+        for i in range(rng.randint(1, 5))
+    )
+    arch = Architecture(
+        processors=processors,
+        interconnect=Interconnect(
+            bandwidth=rng.uniform(0.1, 8.0), energy_per_unit=rng.uniform(0.0, 2.0)
+        ),
+    )
+    scenarios = tuple(_random_scenario(rng, apps, f"s{s}") for s in range(rng.randint(1, 6)))
+    spec = SystemSpec(applications=tuple(apps), architecture=arch, scenarios=scenarios)
+    spec.validate()
+    return spec, _random_scenario(rng, apps, "foreign")
+
+
+def _hex(pair):
+    return tuple(x.hex() for x in pair)
+
+
+def test_compiled_evaluator_matches_reference_bit_for_bit():
+    rng = random.Random(20261017)
+    for _ in range(80):
+        spec, foreign = random_float_spec(rng)
+        mappings = [random_mapping(spec, rng) for _ in range(4)]
+        for mapping in mappings:
+            for scen in spec.scenarios + (foreign,):
+                got = scenario_metrics(spec, mapping, scen)
+                expected = reference_metrics(spec, mapping, scen)
+                assert _hex((got.makespan, got.energy)) == _hex(expected)
+            n = len(spec.scenarios)
+            subsets = [full_subset(spec), tuple(sorted(rng.sample(range(n), rng.randint(1, n))))]
+            for subset in subsets:
+                for aggregate in AGGREGATES:
+                    fit = evaluate_mapping(spec, mapping, subset, aggregate)
+                    expected = reference_fitness(spec, mapping, subset, aggregate)
+                    assert _hex((fit.value, fit.energy)) == _hex(expected)
+        matrix = _makespan_matrix(spec, mappings)
+        expected_matrix = [
+            [reference_metrics(spec, m, scen)[0].hex() for scen in spec.scenarios]
+            for m in mappings
+        ]
+        assert [[x.hex() for x in row] for row in matrix] == expected_matrix
+
+
+def test_evaluate_mapping_rejects_bad_genes(two_proc_spec):
+    with pytest.raises(ValueError, match="1 genes, expected 2"):
+        evaluate_mapping(two_proc_spec, Mapping(genes=(0,)), [0])
+    with pytest.raises(ValueError, match="3 genes, expected 2"):
+        evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1, 0)), [0])
+    with pytest.raises(ValueError, match="gene 1 = 2 out of range"):
+        evaluate_mapping(two_proc_spec, Mapping(genes=(0, 2)), [0])
+    with pytest.raises(ValueError, match="gene 0 = -1 out of range"):
+        evaluate_mapping(two_proc_spec, Mapping(genes=(-1, 0)), [0])
+    with pytest.raises(ValueError, match="empty scenario subset"):
+        evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), ())
+
+
+def test_spec_compiled_once_and_lazily():
+    spec = parse_config(render_config(_two_scenario_spec()))
+    assert "compiled_scenarios" not in vars(spec)  # parsing does not compile
+    evaluate_mapping(spec, Mapping(genes=(0,)), [0, 1])
+    first = spec.compiled_scenarios
+    scenario_metrics(spec, Mapping(genes=(0,)), spec.scenarios[1])
+    evaluate_mapping(spec, Mapping(genes=(0,)), [1])
+    foreign = Scenario("f", frozenset({"a"}), comp={"A": 90.0})
+    assert scenario_metrics(spec, Mapping(genes=(0,)), foreign).makespan == 90.0
+    assert spec.compiled_scenarios is first and len(first) == 2
+    assert [c.comp for c in first] == [((0, 50.0),), ((0, 70.0),)]
+    other = parse_config(render_config(spec))
+    assert other.compiled_scenarios == first and other.compiled_scenarios is not first
+
+
+def test_first_compile_under_concurrent_workers():
+    # the lazy compile runs on whichever pool worker evaluates first; with
+    # more workers than cores and a short switch interval, every worker must
+    # still see the serial result
+    spec, _ = random_float_spec(random.Random(5))
+    text = render_config(spec)
+    rng = random.Random(6)
+    jobs = [(random_mapping(spec, rng).genes, full_subset(spec)) for _ in range(16)]
+    expected = [make_mapping_executor(spec)(job) for job in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            fresh = parse_config(text)
+            with WorkPool(8, make_mapping_executor(fresh)) as pool:
+                assert pool.submit_batch(jobs) == expected
+            assert fresh.compiled_scenarios == spec.compiled_scenarios
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_compiled_form_drops_zero_demands(two_proc_spec):
+    scen = two_proc_spec.scenarios[0]
+    zeroed = Scenario("z", scen.active_apps, comp={"A": 0.0, "B": 40.0}, data={("A", "B"): 0.0})
+    compiled = two_proc_spec.compile_scenario(zeroed)
+    assert compiled.comp == ((1, 40.0),) and compiled.data == ()
+    (full,) = two_proc_spec.compiled_scenarios
+    assert full.comp == ((0, 60.0), (1, 40.0)) and full.data == ((0, 1, 30.0),)
+    assert full.speed == (1.0, 1.0) and full.bandwidth == 3.0 and full.energy_per_unit == 0.5
 
 
 # --- synthetic job bodies ---------------------------------------------------

@@ -7,6 +7,7 @@ from sdse.model import (
     ConfigSemanticError,
     ConfigSyntaxError,
     Mapping,
+    Scenario,
     parse_config,
     random_mapping,
     render_config,
@@ -117,6 +118,30 @@ def test_mapping_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Mapping(genes=(0, 1, 1))
     assert len({a, b}) == 1
+
+
+def test_scenario_hash_consistent_with_eq():
+    rng = random.Random(7)
+    for _ in range(20):
+        spec = random_dyadic_spec(rng)
+        again = parse_config(render_config(spec))
+        for scen, copy in zip(spec.scenarios, again.scenarios):
+            assert scen == copy and scen is not copy
+            assert hash(scen) == hash(copy)
+        assert hash(spec) == hash(again)
+    comp = {"A": 1.0, "B": 2.0, "C": 3.0}
+    data = {("A", "B"): 4.0, ("B", "C"): 5.0}
+    scen = Scenario("s", frozenset({"app"}), comp=comp, data=data)
+    reordered = Scenario(
+        "s",
+        frozenset({"app"}),
+        comp=dict(reversed(comp.items())),
+        data=dict(reversed(data.items())),
+    )
+    assert reordered == scen and hash(reordered) == hash(scen)
+    assert len({scen, reordered}) == 1
+    renamed = Scenario(scen.name + "'", scen.active_apps, comp=scen.comp, data=scen.data)
+    assert renamed != scen and len({scen, renamed}) == 2
 
 
 def test_random_mapping_single_processor(minimal_spec):

@@ -14,7 +14,6 @@ from sdse.selector import (
     kendall_tau,
     select_subset,
     select_subset_sfs,
-    update_training_set,
 )
 
 from conftest import random_dyadic_spec
@@ -89,10 +88,12 @@ def test_training_set_capacity_evicts_oldest():
     assert Mapping(genes=(0,)) not in ts
 
 
-def test_update_training_set_function():
+def test_training_set_add_many():
     ts = TrainingSet(capacity=8)
-    out = update_training_set(ts, [(Mapping(genes=(i,)), _fit(i)) for i in range(3)])
-    assert out is ts and len(ts) == 3
+    for i in range(3):
+        ts.add(Mapping(genes=(i,)), _fit(i))
+    assert len(ts) == 3
+    assert [m.genes for m in ts.mappings] == [(0,), (1,), (2,)]
 
 
 def test_selection_uses_exactly_the_retained_mappings():

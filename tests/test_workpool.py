@@ -12,7 +12,6 @@ from sdse.workpool import (
     PoolClosedError,
     WorkPool,
     execution_counts,
-    fetch_job,
     locked_queue_reference,
     make_pool,
 )
@@ -39,7 +38,7 @@ def test_fetch_exhausted_returns_none():
 def test_fetch_empty_batch():
     batch = JobBatch([])
     assert batch.end == -1
-    assert fetch_job(batch) is None
+    assert batch.fetch() is None
 
 
 def test_fetch_stress_unique_indices():
