@@ -161,8 +161,10 @@ def _cmd_explore(args) -> int:
         provider.start()
         result = run_explorer(spec, params, provider, pool)
     finally:
-        provider.stop()
-        pool.shutdown()
+        try:
+            provider.stop()  # raises if an async selector thread failed
+        finally:
+            pool.shutdown()
 
     os.makedirs(args.out, exist_ok=True)
     write_history_csv(result.history, os.path.join(args.out, "history.csv"), args.no_timing)

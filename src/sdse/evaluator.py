@@ -117,7 +117,11 @@ def evaluate_mapping(
     spec.check_mapping(mapping)
     compiled = spec.compiled_scenarios
     genes = mapping.genes
-    costs = [_scenario_cost(compiled[i], genes) for i in subset]
+    return _aggregate_costs([_scenario_cost(compiled[i], genes) for i in subset], aggregate)
+
+
+def _aggregate_costs(costs: Sequence[tuple[float, float]], aggregate: str) -> Fitness:
+    """Fitness from per-scenario (makespan, energy) pairs, in subset order."""
     return Fitness(
         value=aggregate_values([makespan for makespan, _ in costs], aggregate),
         energy=aggregate_values([energy for _, energy in costs], aggregate),

@@ -5,26 +5,73 @@ reproduces the full-scenario-set fitness ranking of a set of training
 mappings, measured with Kendall tau-b. Greedy forward selection (SFS) is the
 default; backward selection (SBS) is available behind a flag.
 
+A selection pass does no repeated work. Each training entry keeps its
+per-scenario makespan row, computed once from the same scenario costs as its
+full-set fitness, so a pass only evaluates mappings it has not seen. The
+pair signs of the full-set ranking are prepared once per pass and every
+candidate subset is scored against them. SFS keeps the already-selected
+values of each training mapping, so a candidate only appends its own
+column. Subsets and taus are bit-identical to scoring every candidate from
+scratch: the same values reach ``math.fsum``/``max`` and the same integer
+pair counts reach the tau-b formula.
+
 The selector runs alongside the design explorer: in sync mode one selection
 pass runs between explorer generations on the explorer's thread; in async
 mode a selector thread drains a bounded candidate queue and publishes
 snapshots. Snapshots are immutable and published by single reference
-assignment, so readers can never observe a torn (version, indices) pair.
+assignment, so readers can never observe a torn (version, indices) pair. An
+exception that ends the selector thread is re-raised from ``latest()`` and
+``stop()``.
 """
 
 from __future__ import annotations
 
+import operator
 import queue
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .evaluator import Fitness, _scenario_cost, aggregate_values, evaluate_mapping, full_subset
+from .evaluator import Fitness, _aggregate_costs, _scenario_cost, aggregate_values, full_subset
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
+
+# (pair signs, number of tied pairs) of a reference ranking; see _tau_reference
+TauReference = tuple[list[int], int]
+
+
+def _pair_signs(scores: Sequence[float]) -> list[int]:
+    """sign(scores[i] - scores[j]) for every pair i < j, row by row."""
+    return [(x > y) - (x < y) for x, y in combinations(scores, 2)]
+
+
+def _tau_reference(scores_b: Sequence[float]) -> TauReference:
+    """Prepare a reference ranking once for many _tau_b calls against it."""
+    signs = _pair_signs(scores_b)
+    return signs, signs.count(0)
+
+
+def _tau_b(scores_a: Sequence[float], reference: TauReference) -> float:
+    """Kendall tau-b of ``scores_a`` against a prepared reference ranking.
+
+    The product of two pair signs is +1 for a concordant pair, -1 for a
+    discordant one and 0 when either side ties, so their sum is the exact
+    integer concordant - discordant.
+    """
+    signs_b, ties_b = reference
+    signs_a = _pair_signs(scores_a)
+    n0 = len(signs_a)
+    ties_a = signs_a.count(0)
+    if ties_a == n0 and ties_b == n0:
+        return 1.0
+    denom = ((n0 - ties_a) * (n0 - ties_b)) ** 0.5
+    if denom == 0.0:
+        return 0.0
+    return sum(map(operator.mul, signs_a, signs_b)) / denom
 
 
 def kendall_tau(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
@@ -40,28 +87,17 @@ def kendall_tau(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
         raise ValueError(f"rankings differ in length: {n} vs {len(scores_b)}")
     if n < 2:
         raise ValueError("rankings must contain at least 2 items")
-    concordant = discordant = ties_a = ties_b = 0
-    for i in range(n - 1):
-        ai, bi = scores_a[i], scores_b[i]
-        for j in range(i + 1, n):
-            da = (ai > scores_a[j]) - (ai < scores_a[j])
-            db = (bi > scores_b[j]) - (bi < scores_b[j])
-            if da == 0:
-                ties_a += 1
-            if db == 0:
-                ties_b += 1
-            if da and db:
-                if da == db:
-                    concordant += 1
-                else:
-                    discordant += 1
-    n0 = n * (n - 1) // 2
-    if ties_a == n0 and ties_b == n0:
-        return 1.0
-    denom = ((n0 - ties_a) * (n0 - ties_b)) ** 0.5
-    if denom == 0.0:
-        return 0.0
-    return (concordant - discordant) / denom
+    return _tau_b(scores_a, _tau_reference(scores_b))
+
+
+@dataclass
+class TrainingEntry:
+    """A training mapping, its full-set fitness and, once computed, its
+    per-scenario makespan row (``row[s]`` for scenario ``s``)."""
+
+    mapping: Mapping
+    fitness: Fitness
+    row: tuple[float, ...] | None = None
 
 
 class TrainingSet:
@@ -69,20 +105,24 @@ class TrainingSet:
 
     Bounded at ``capacity``; re-adding a known mapping only refreshes its
     recency, and the oldest entry is evicted once the bound is exceeded.
+    Entries belong to one spec and aggregate: the fitness and the makespan
+    row are kept as given.
     """
 
     def __init__(self, capacity: int = 16):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, ...], tuple[Mapping, Fitness]] = OrderedDict()
+        self._entries: OrderedDict[tuple[int, ...], TrainingEntry] = OrderedDict()
 
-    def add(self, mapping: Mapping, fitness: Fitness) -> None:
+    def add(
+        self, mapping: Mapping, fitness: Fitness, row: tuple[float, ...] | None = None
+    ) -> None:
         key = mapping.genes
         if key in self._entries:
             self._entries.move_to_end(key)
             return
-        self._entries[key] = (mapping, fitness)
+        self._entries[key] = TrainingEntry(mapping, fitness, row)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
@@ -101,13 +141,18 @@ class TrainingSet:
         return mapping.genes in self._entries
 
     @property
+    def entries(self) -> list[TrainingEntry]:
+        """Retained entries, oldest first."""
+        return list(self._entries.values())
+
+    @property
     def mappings(self) -> list[Mapping]:
         """Retained mappings, oldest first."""
-        return [m for m, _ in self._entries.values()]
+        return [e.mapping for e in self._entries.values()]
 
     @property
     def fitnesses(self) -> list[Fitness]:
-        return [f for _, f in self._entries.values()]
+        return [e.fitness for e in self._entries.values()]
 
 
 @dataclass(frozen=True)
@@ -119,19 +164,19 @@ class SubsetSnapshot:
     tau: float
 
 
-def _makespan_matrix(
-    spec: SystemSpec, mappings: Sequence[Mapping]
-) -> list[list[float]]:
-    """makespan[i][s] for training mapping i and scenario s; computed once
-    per selection pass so candidate subsets only re-aggregate."""
+def _makespan_matrix(spec: SystemSpec, training: TrainingSet) -> list[tuple[float, ...]]:
+    """makespan[i][s] for training entry i and scenario s.
+
+    Rows are kept with their entries, so only entries added without one are
+    evaluated here, once.
+    """
     compiled = spec.compiled_scenarios
-    return [[_scenario_cost(scen, m.genes)[0] for scen in compiled] for m in mappings]
-
-
-def _subset_scores(
-    matrix: list[list[float]], indices: Sequence[int], aggregate: str
-) -> list[float]:
-    return [aggregate_values([row[s] for s in indices], aggregate) for row in matrix]
+    entries = training.entries
+    for entry in entries:
+        if entry.row is None:
+            genes = entry.mapping.genes
+            entry.row = tuple(_scenario_cost(scen, genes)[0] for scen in compiled)
+    return [entry.row for entry in entries]
 
 
 def _check_selection_args(spec: SystemSpec, training: TrainingSet, k: int) -> None:
@@ -153,8 +198,10 @@ def select_subset_sfs(
     carries version 0 — the publisher stamps the real version.
     """
     _check_selection_args(spec, training, k)
-    full_scores = [f.value for f in training.fitnesses]
-    matrix = _makespan_matrix(spec, training.mappings)
+    reference = _tau_reference([f.value for f in training.fitnesses])
+    columns = list(zip(*_makespan_matrix(spec, training)))
+    # per training mapping: its values on the selected scenarios, in selection order
+    chosen: list[list[float]] = [[] for _ in range(len(training))]
     selected: list[int] = []
     remaining = list(range(len(spec.scenarios)))
     achieved = 0.0
@@ -162,12 +209,15 @@ def select_subset_sfs(
         best_idx = None
         best_tau = -2.0
         for s in remaining:
-            tau = kendall_tau(_subset_scores(matrix, selected + [s], aggregate), full_scores)
+            scores = [aggregate_values(vals + [x], aggregate) for vals, x in zip(chosen, columns[s])]
+            tau = _tau_b(scores, reference)
             if tau > best_tau:
                 best_tau = tau
                 best_idx = s
         selected.append(best_idx)
         remaining.remove(best_idx)
+        for vals, x in zip(chosen, columns[best_idx]):
+            vals.append(x)
         achieved = best_tau
     return SubsetSnapshot(indices=tuple(sorted(selected)), version=0, tau=achieved)
 
@@ -180,20 +230,23 @@ def select_subset_sbs(
     removing the highest index, keeping the retained subset lexicographically
     smallest."""
     _check_selection_args(spec, training, k)
-    full_scores = [f.value for f in training.fitnesses]
-    matrix = _makespan_matrix(spec, training.mappings)
+    reference = _tau_reference([f.value for f in training.fitnesses])
+    # per training mapping: its values on the selected scenarios, in index order
+    kept = [list(row) for row in _makespan_matrix(spec, training)]
     selected = list(range(len(spec.scenarios)))
-    achieved = kendall_tau(_subset_scores(matrix, selected, aggregate), full_scores)
+    achieved = _tau_b([aggregate_values(vals, aggregate) for vals in kept], reference)
     while len(selected) > k:
         best_pos = None
         best_tau = -2.0
         for pos, s in enumerate(selected):
-            trial = selected[:pos] + selected[pos + 1 :]
-            tau = kendall_tau(_subset_scores(matrix, trial, aggregate), full_scores)
+            scores = [aggregate_values(vals[:pos] + vals[pos + 1 :], aggregate) for vals in kept]
+            tau = _tau_b(scores, reference)
             if tau > best_tau or (tau == best_tau and best_pos is not None and s > selected[best_pos]):
                 best_tau = tau
                 best_pos = pos
         del selected[best_pos]
+        for vals in kept:
+            del vals[best_pos]
         achieved = best_tau
     return SubsetSnapshot(indices=tuple(selected), version=0, tau=achieved)
 
@@ -279,12 +332,12 @@ class SelectorService:
         self._mode = mode
         self._method = method
         self._training = TrainingSet(capacity)
-        self._full = full_subset(spec)
         self._queue: queue.Queue[Mapping] = queue.Queue(maxsize=queue_size)
         self._version = 0
-        self._snapshot = SubsetSnapshot(indices=self._full, version=0, tau=1.0)
+        self._snapshot = SubsetSnapshot(indices=full_subset(spec), version=0, tau=1.0)
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
+        self._error: Exception | None = None  # what ended the selector thread
         self.log: list[SelectorLogRow] = []
 
     @property
@@ -292,7 +345,11 @@ class SelectorService:
         return self._mode
 
     def latest(self) -> SubsetSnapshot:
-        """Current snapshot; immutable, safe to read from any thread."""
+        """Current snapshot; immutable, safe to read from any thread.
+
+        Raises RuntimeError once the selector thread has failed.
+        """
+        self._raise_if_failed()
         return self._snapshot
 
     def submit_training(self, mappings: Iterable[Mapping]) -> None:
@@ -316,11 +373,16 @@ class SelectorService:
         self._thread.start()
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop_event.set()
-        self._thread.join()
-        self._thread = None
+        """Join the selector thread; raises RuntimeError if it failed."""
+        if self._thread is not None:
+            self._stop_event.set()
+            self._thread.join()
+            self._thread = None
+        self._raise_if_failed()
+
+    def _raise_if_failed(self) -> None:
+        if self._error is not None:
+            raise RuntimeError(f"selector thread failed: {self._error!r}") from self._error
 
     def _drain_queue(self) -> list[Mapping]:
         drained = []
@@ -332,10 +394,17 @@ class SelectorService:
 
     def _run_pass(self, prefix: Sequence[Mapping] = ()) -> None:
         t0 = time.perf_counter_ns()
+        compiled = self._spec.compiled_scenarios
         for mapping in list(prefix) + self._drain_queue():
             if not self._training.touch(mapping):
-                fit = evaluate_mapping(self._spec, mapping, self._full, self._aggregate)
-                self._training.add(mapping, fit)
+                # one evaluation gives both the full-set fitness and the row
+                self._spec.check_mapping(mapping)
+                costs = [_scenario_cost(scen, mapping.genes) for scen in compiled]
+                self._training.add(
+                    mapping,
+                    _aggregate_costs(costs, self._aggregate),
+                    row=tuple(makespan for makespan, _ in costs),
+                )
         if len(self._training) < 2:
             return
         snap = select_subset(self._spec, self._training, self._k, self._method, self._aggregate)
@@ -357,9 +426,12 @@ class SelectorService:
         self._snapshot = SubsetSnapshot(indices=indices, version=self._version, tau=tau)
 
     def _run_async(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                first = self._queue.get(timeout=0.02)
-            except queue.Empty:
-                continue
-            self._run_pass(prefix=(first,))
+        try:
+            while not self._stop_event.is_set():
+                try:
+                    first = self._queue.get(timeout=0.02)
+                except queue.Empty:
+                    continue
+                self._run_pass(prefix=(first,))
+        except Exception as exc:  # kept for latest()/stop() to re-raise
+            self._error = exc

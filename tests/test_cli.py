@@ -133,6 +133,57 @@ def test_explore_async_mode_runs(ga_config_path, tmp_path):
     assert code == 0
 
 
+def test_explore_async_selector_failure_exits_runtime(ga_config_path, tmp_path, monkeypatch, capsys):
+    # the selector thread dies on an out-of-range training mapping: the run
+    # ends promptly with exit code 3 and the pool is still shut down
+    import threading
+
+    import sdse.cli as cli_mod
+    from sdse.model import Mapping
+    from sdse.selector import SelectorService
+
+    real_submit = SelectorService.submit_training
+
+    def submit_with_bad_mapping(self, mappings):
+        real_submit(self, [Mapping(genes=(99,) * 6)] + list(mappings))
+
+    monkeypatch.setattr(SelectorService, "submit_training", submit_with_bad_mapping)
+    pools = []
+    real_make_pool = cli_mod.make_pool
+
+    def recording_make_pool(*args, **kwargs):
+        pools.append(real_make_pool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(cli_mod, "make_pool", recording_make_pool)
+    argv = [
+        "explore",
+        "--config",
+        ga_config_path,
+        "--generations",
+        "20",
+        "--population",
+        "8",
+        "--workers",
+        "2",
+        "--subset-size",
+        "2",
+        "--selector-mode",
+        "async",
+        "--out",
+        str(tmp_path / "async-fail"),
+    ]
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "explore hung after the selector thread failed"
+    assert codes == [3]
+    assert "selector thread failed" in capsys.readouterr().err
+    assert len(pools) == 1 and pools[0]._closed
+    assert not any(t.is_alive() for t in pools[0]._threads)
+
+
 def test_explore_subprocess_job_mode(config_path, tmp_path, capsys):
     code = main(
         [

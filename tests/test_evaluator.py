@@ -10,6 +10,7 @@ from sdse.evaluator import (
     _FNV_OFFSET,
     _SYNTH_SEED,
     AGGREGATES,
+    Fitness,
     alloc_churn_job,
     calibrate_synthetic_cost,
     evaluate_mapping,
@@ -30,7 +31,7 @@ from sdse.model import (
     random_mapping,
     render_config,
 )
-from sdse.selector import _makespan_matrix
+from sdse.selector import TrainingSet, _makespan_matrix
 from sdse.workpool import WorkPool
 
 from conftest import random_dyadic_spec
@@ -322,10 +323,13 @@ def test_compiled_evaluator_matches_reference_bit_for_bit():
                     fit = evaluate_mapping(spec, mapping, subset, aggregate)
                     expected = reference_fitness(spec, mapping, subset, aggregate)
                     assert _hex((fit.value, fit.energy)) == _hex(expected)
-        matrix = _makespan_matrix(spec, mappings)
+        training = TrainingSet(capacity=len(mappings))
+        for mapping in mappings:
+            training.add(mapping, Fitness.error())
+        matrix = _makespan_matrix(spec, training)
         expected_matrix = [
             [reference_metrics(spec, m, scen)[0].hex() for scen in spec.scenarios]
-            for m in mappings
+            for m in training.mappings
         ]
         assert [[x.hex() for x in row] for row in matrix] == expected_matrix
 

@@ -1,18 +1,31 @@
 import itertools
 import json
+import math
 import random
 import threading
 
 import pytest
 
-from sdse.evaluator import Fitness, evaluate_mapping, full_subset
+import sdse.selector as selector_mod
+from sdse.evaluator import (
+    AGGREGATES,
+    Fitness,
+    aggregate_values,
+    evaluate_mapping,
+    full_subset,
+    scenario_metrics,
+)
 from sdse.model import Mapping, parse_config, random_mapping
 from sdse.selector import (
     SelectorService,
     StaticSubsetProvider,
     TrainingSet,
+    _makespan_matrix,
+    _tau_b,
+    _tau_reference,
     kendall_tau,
     select_subset,
+    select_subset_sbs,
     select_subset_sfs,
 )
 
@@ -381,3 +394,234 @@ def test_async_service_runs_and_stops():
         service.stop()
     assert service.latest().version >= 1
     assert len(service.latest().indices) == 2
+
+
+def test_async_selector_failure_is_raised_from_latest_and_stop():
+    # an out-of-range training mapping kills the selector thread; the failure
+    # must surface instead of leaving the explorer on a stale subset
+    spec = _selection_spec()
+    service = SelectorService(spec, k=1, mode="async")
+    service.start()
+    thread = service._thread
+    service.submit_training([Mapping(genes=(0, 5))])
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    with pytest.raises(RuntimeError, match="selector thread failed") as latest_exc:
+        service.latest()
+    assert isinstance(latest_exc.value.__cause__, ValueError)
+    with pytest.raises(RuntimeError, match="selector thread failed") as stop_exc:
+        service.stop()
+    assert isinstance(stop_exc.value.__cause__, ValueError)
+
+
+# --- reference oracles: the selection code before rows were cached -------------
+
+
+def oracle_kendall_tau(scores_a, scores_b):
+    n = len(scores_a)
+    concordant = discordant = ties_a = ties_b = 0
+    for i in range(n - 1):
+        ai, bi = scores_a[i], scores_b[i]
+        for j in range(i + 1, n):
+            da = (ai > scores_a[j]) - (ai < scores_a[j])
+            db = (bi > scores_b[j]) - (bi < scores_b[j])
+            if da == 0:
+                ties_a += 1
+            if db == 0:
+                ties_b += 1
+            if da and db:
+                if da == db:
+                    concordant += 1
+                else:
+                    discordant += 1
+    n0 = n * (n - 1) // 2
+    if ties_a == n0 and ties_b == n0:
+        return 1.0
+    denom = ((n0 - ties_a) * (n0 - ties_b)) ** 0.5
+    if denom == 0.0:
+        return 0.0
+    return (concordant - discordant) / denom
+
+
+def _oracle_matrix(spec, mappings):
+    return [[scenario_metrics(spec, m, scen).makespan for scen in spec.scenarios] for m in mappings]
+
+
+def _oracle_subset_scores(matrix, indices, aggregate):
+    return [aggregate_values([row[s] for s in indices], aggregate) for row in matrix]
+
+
+def oracle_sfs(spec, training, k, aggregate):
+    full_scores = [f.value for f in training.fitnesses]
+    matrix = _oracle_matrix(spec, training.mappings)
+    selected = []
+    remaining = list(range(len(spec.scenarios)))
+    achieved = 0.0
+    for _ in range(k):
+        best_idx = None
+        best_tau = -2.0
+        for s in remaining:
+            tau = oracle_kendall_tau(
+                _oracle_subset_scores(matrix, selected + [s], aggregate), full_scores
+            )
+            if tau > best_tau:
+                best_tau = tau
+                best_idx = s
+        selected.append(best_idx)
+        remaining.remove(best_idx)
+        achieved = best_tau
+    return tuple(sorted(selected)), achieved
+
+
+def oracle_sbs(spec, training, k, aggregate):
+    full_scores = [f.value for f in training.fitnesses]
+    matrix = _oracle_matrix(spec, training.mappings)
+    selected = list(range(len(spec.scenarios)))
+    achieved = oracle_kendall_tau(_oracle_subset_scores(matrix, selected, aggregate), full_scores)
+    while len(selected) > k:
+        best_pos = None
+        best_tau = -2.0
+        for pos, s in enumerate(selected):
+            trial = selected[:pos] + selected[pos + 1 :]
+            tau = oracle_kendall_tau(_oracle_subset_scores(matrix, trial, aggregate), full_scores)
+            if tau > best_tau or (tau == best_tau and best_pos is not None and s > selected[best_pos]):
+                best_tau = tau
+                best_pos = pos
+        del selected[best_pos]
+        achieved = best_tau
+    return tuple(selected), achieved
+
+
+def _random_training(spec, rng, size, aggregate, fitness_kind):
+    """``size`` distinct mappings with evaluated, coarsely tied, or partly
+    ``inf`` (Fitness.error()) full-set fitness."""
+    ts = TrainingSet(capacity=size)
+    full = full_subset(spec)
+    while len(ts) < size:
+        m = random_mapping(spec, rng)
+        if m in ts:
+            continue
+        fit = evaluate_mapping(spec, m, full, aggregate)
+        if fitness_kind == "tied":
+            fit = Fitness(value=float(rng.randint(0, 2)), energy=0.0)
+        elif fitness_kind == "inf" and rng.random() < 0.3:
+            fit = Fitness.error()
+        ts.add(m, fit)
+    return ts
+
+
+def _snap_key(indices, tau):
+    return tuple(indices), tau.hex()
+
+
+def test_selection_matches_oracle_bit_for_bit():
+    rng = random.Random(20261018)
+    checked = 0
+    sizes_seen = set()
+    while checked < 60:
+        spec = random_dyadic_spec(rng, max_apps=3, max_scenarios=7)
+        space = spec.n_processors ** len(spec.processes)
+        size = 2 + checked % 15  # 2..16
+        if space < 2 * size:
+            continue
+        checked += 1
+        sizes_seen.add(size)
+        n = len(spec.scenarios)
+        for aggregate in AGGREGATES:
+            fitness_kind = ("evaluated", "tied", "inf")[checked % 3]
+            ts = _random_training(spec, rng, size, aggregate, fitness_kind)
+            for k in range(1, n + 1):
+                sfs = select_subset_sfs(spec, ts, k, aggregate)
+                assert _snap_key(sfs.indices, sfs.tau) == _snap_key(*oracle_sfs(spec, ts, k, aggregate))
+                sbs = select_subset_sbs(spec, ts, k, aggregate)
+                assert _snap_key(sbs.indices, sbs.tau) == _snap_key(*oracle_sbs(spec, ts, k, aggregate))
+    assert sizes_seen == set(range(2, 17))
+
+
+def test_tau_kernel_matches_oracle_bit_for_bit():
+    rng = random.Random(7)
+    values = [0.0, 1.0, 2.5, 3.0, math.inf]
+    for trial in range(10_000):
+        n = rng.randint(2, 16)
+        if trial % 2:
+            a = [rng.choice(values) for _ in range(n)]  # heavy ties and inf
+            b = [rng.choice(values) for _ in range(n)]
+        else:
+            a = [rng.random() for _ in range(n)]
+            b = [float(rng.randint(0, 3)) for _ in range(n)]
+        expected = oracle_kendall_tau(a, b).hex()
+        assert kendall_tau(a, b).hex() == expected, (a, b)
+        assert _tau_b(a, _tau_reference(b)).hex() == expected, (a, b)
+
+
+# --- cached makespan rows -------------------------------------------------------
+
+
+def _counting_scenario_cost(monkeypatch):
+    calls = [0]
+    real = selector_mod._scenario_cost
+
+    def counting(compiled, genes):
+        calls[0] += 1
+        return real(compiled, genes)
+
+    monkeypatch.setattr(selector_mod, "_scenario_cost", counting)
+    return calls
+
+
+def test_service_evaluates_each_new_mapping_once(monkeypatch):
+    spec = five_scenario_spec()
+    n_scen = len(spec.scenarios)
+    calls = _counting_scenario_cost(monkeypatch)
+    service = SelectorService(spec, k=2, mode="sync")
+    service.submit_training([Mapping(genes=(0, 0, 1)), Mapping(genes=(1, 0, 1))])
+    service.generation_tick()
+    assert calls[0] == 2 * n_scen
+    assert service.latest().version == 1
+    calls[0] = 0
+    service.submit_training([Mapping(genes=(0, 0, 1))])  # re-offered
+    service.generation_tick()
+    assert calls[0] == 0
+    assert service.latest().version == 2
+    service.submit_training([Mapping(genes=(1, 1, 1))])  # new
+    service.generation_tick()
+    assert calls[0] == n_scen
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+def test_stored_row_and_fitness_match_fresh_evaluation(aggregate):
+    spec = five_scenario_spec()
+    genes = list(itertools.product(range(2), repeat=3))
+    service = SelectorService(spec, k=2, mode="sync", aggregate=aggregate)
+    service.submit_training([Mapping(genes=g) for g in genes])
+    service.generation_tick()
+    entries = service._training.entries
+    assert [e.mapping.genes for e in entries] == genes
+    fresh = TrainingSet(capacity=len(genes))
+    for e in entries:
+        fresh.add(e.mapping, e.fitness)  # no row: _makespan_matrix computes it
+    matrix = _makespan_matrix(spec, fresh)
+    full = full_subset(spec)
+    for entry, row in zip(entries, matrix):
+        assert [x.hex() for x in entry.row] == [x.hex() for x in row]
+        expected = evaluate_mapping(spec, entry.mapping, full, aggregate)
+        assert entry.fitness.value.hex() == expected.value.hex()
+        assert entry.fitness.energy.hex() == expected.energy.hex()
+
+
+def test_makespan_matrix_computes_missing_rows_once(monkeypatch):
+    spec = five_scenario_spec()
+    ts = _training_over(spec, [(0, 0, 0), (0, 1, 1)])
+    calls = _counting_scenario_cost(monkeypatch)
+    first = _makespan_matrix(spec, ts)
+    assert calls[0] == 2 * len(spec.scenarios)
+    assert _makespan_matrix(spec, ts) == first
+    assert calls[0] == 2 * len(spec.scenarios)
+
+
+def test_sync_service_rejects_out_of_range_genes():
+    spec = _selection_spec()
+    service = SelectorService(spec, k=1, mode="sync")
+    service.submit_training([Mapping(genes=(0, 5))])
+    with pytest.raises(ValueError, match="out of range"):
+        service.generation_tick()
