@@ -58,7 +58,6 @@ from .workpool import (
     PoolClosedError,
     PoolError,
     WorkPool,
-    locked_queue_reference,
     make_pool,
 )
 

@@ -6,11 +6,16 @@ interconnect for every channel whose endpoints sit on distinct processors.
 Sums use ``math.fsum`` so results are exactly rounded and independent of
 summation order.
 
-Each spec is compiled once, on first evaluation, into index form
-(:attr:`SystemSpec.compiled_scenarios`): per scenario, (process index,
-demand) pairs and (from, to, demand) channel triples for non-zero demands.
-One kernel evaluates a compiled scenario against a gene vector by index, with
-no name lookups; every evaluation path goes through it.
+Each spec is compiled once, on first evaluation, into dense index form
+(:attr:`SystemSpec.compiled_scenarios`): per scenario, one row of compute
+demand over processor speed per distinct speed, and one row of channel data
+demands. One kernel, :func:`_mapping_costs`, evaluates a mapping over a run
+of compiled scenarios and is the only evaluation path. It groups the
+processes by processor and marks the external channels once per mapping; per
+scenario, each processor's busy time is a C-level gather from its speed's
+row, and the external data is the masked data row. Zero demands are stored
+as ``0.0``, so every ``math.fsum`` sees the same non-zero terms as a sum over
+the scenario's demands and results are exact to the bit.
 
 The synthetic job body is a SHA-256 hash chain over a fixed 64 KiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
@@ -25,7 +30,9 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import compress
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
 
@@ -76,25 +83,48 @@ def scenario_metrics(spec: SystemSpec, mapping: Mapping, scenario) -> ScenarioMe
             break
     else:
         compiled = spec.compile_scenario(scenario)
-    makespan, energy = _scenario_cost(compiled, mapping.genes)
+    ((makespan, energy),) = _mapping_costs(spec, mapping, (compiled,))
     return ScenarioMetrics(makespan=makespan, energy=energy)
 
 
-def _scenario_cost(compiled: CompiledScenario, genes: Sequence[int]) -> tuple[float, float]:
-    """(makespan, energy) of one compiled scenario; the only evaluation path."""
-    speed = compiled.speed
-    busy_terms: list[list[float]] = [[] for _ in speed]
-    for i, demand in compiled.comp:
-        g = genes[i]
-        busy_terms[g].append(demand / speed[g])
-    busy = [math.fsum(terms) for terms in busy_terms]
-    total_external = math.fsum([demand for i, j, demand in compiled.data if genes[i] != genes[j]])
-    makespan = max(busy) + total_external / compiled.bandwidth
-    energy = (
-        math.fsum([p * b for p, b in zip(compiled.power, busy)])
-        + compiled.energy_per_unit * total_external
-    )
-    return makespan, energy
+def _mapping_costs(
+    spec: SystemSpec, mapping: Mapping, scenarios: Iterable[CompiledScenario]
+) -> list[tuple[float, float]]:
+    """(makespan, energy) of a mapping on each compiled scenario, in order.
+
+    Raises ValueError if the mapping does not fit the spec.
+    """
+    spec.check_mapping(mapping)
+    genes = mapping.genes
+    members: list[list[int]] = [[] for _ in range(spec.n_processors)]
+    for i, g in enumerate(genes):
+        members[g].append(i)
+    # busy[r] stays 0.0 for an empty processor and is the one quotient itself
+    # for a processor with a single process
+    gathered = [(r, itemgetter(*m)) for r, m in enumerate(members) if len(m) > 1]
+    single = [(r, m[0]) for r, m in enumerate(members) if len(m) == 1]
+    external = [genes[i] != genes[j] for i, j in spec.channel_ends]
+    power = [p.power for p in spec.architecture.processors]
+    ic = spec.architecture.interconnect
+    bandwidth, energy_per_unit = ic.bandwidth, ic.energy_per_unit
+    idle = [0.0] * len(power)
+    fsum = math.fsum
+    costs = []
+    for scen in scenarios:
+        rows = scen.rows
+        busy = idle.copy()
+        for r, gather in gathered:
+            busy[r] = fsum(gather(rows[r]))
+        for r, i in single:
+            busy[r] = rows[r][i]
+        total_external = fsum(compress(scen.data, external))
+        costs.append(
+            (
+                max(busy) + total_external / bandwidth,
+                fsum(map(mul, power, busy)) + energy_per_unit * total_external,
+            )
+        )
+    return costs
 
 
 def aggregate_values(values: Sequence[float], aggregate: str) -> float:
@@ -114,10 +144,8 @@ def evaluate_mapping(
     """Fitness of a mapping over a subset of scenario indices."""
     if len(subset) == 0:
         raise ValueError("empty scenario subset")
-    spec.check_mapping(mapping)
-    compiled = spec.compiled_scenarios
-    genes = mapping.genes
-    return _aggregate_costs([_scenario_cost(compiled[i], genes) for i in subset], aggregate)
+    scenarios = map(spec.compiled_scenarios.__getitem__, subset)
+    return _aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate)
 
 
 def _aggregate_costs(costs: Sequence[tuple[float, float]], aggregate: str) -> Fitness:

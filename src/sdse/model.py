@@ -83,20 +83,17 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class CompiledScenario:
-    """Index-based form of one scenario under one architecture.
+    """Dense index form of one scenario under one architecture.
 
-    ``comp`` holds (process index, demand) pairs in global process order and
-    ``data`` holds (from index, to index, demand) triples in document order,
-    both for non-zero demands only; the architecture's values are plain
-    tuples and floats, so evaluation needs no name lookups.
+    ``rows[r][i]`` is the compute demand of process ``i`` (global process
+    order) divided by the speed of processor ``r``; processors of equal speed
+    share one row object. ``data[k]`` is the data demand of the spec's
+    channel ``k``. Zero demands of either sign are stored as ``0.0``, so they
+    add nothing to any sum.
     """
 
-    comp: tuple[tuple[int, float], ...]
-    data: tuple[tuple[int, int, float], ...]
-    speed: tuple[float, ...]
-    power: tuple[float, ...]
-    bandwidth: float
-    energy_per_unit: float
+    rows: tuple[tuple[float, ...], ...]
+    data: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -130,30 +127,35 @@ class SystemSpec:
         return tuple(ch for app in self.applications for ch in app.channels)
 
     @cached_property
+    def channel_ends(self) -> tuple[tuple[int, int], ...]:
+        """(from, to) process indices of every channel, in channel order."""
+        index = self.process_index
+        return tuple((index[frm], index[to]) for frm, to in self.channels)
+
+    @cached_property
     def compiled_scenarios(self) -> tuple[CompiledScenario, ...]:
         """Every scenario in index form, built on first use and then shared."""
         return tuple(self.compile_scenario(s) for s in self.scenarios)
 
     def compile_scenario(self, scenario: Scenario) -> CompiledScenario:
-        """Index form of any scenario over this spec's processes; raises
-        KeyError for a non-zero data demand on an unknown process."""
-        index = self.process_index
-        processors = self.architecture.processors
-        ic = self.architecture.interconnect
-        comp = scenario.comp
+        """Index form of any scenario over this spec's processes and channels;
+        raises KeyError for a non-zero data demand on an undeclared channel."""
+        demands = [scenario.comp.get(p, 0.0) for p in self.processes]
+        by_speed: dict[float, tuple[float, ...]] = {}
+        for proc in self.architecture.processors:
+            speed = proc.speed
+            if speed not in by_speed:
+                by_speed[speed] = tuple([d / speed if d else 0.0 for d in demands])
+        slot: dict[tuple[str, str], int] = {}
+        for k, channel in enumerate(self.channels):
+            slot.setdefault(channel, k)  # a repeated channel counts once
+        data = [0.0] * len(self.channels)
+        for channel, demand in scenario.data.items():
+            if demand:
+                data[slot[channel]] = demand
         return CompiledScenario(
-            comp=tuple(
-                (i, comp[p]) for i, p in enumerate(self.processes) if comp.get(p, 0.0)
-            ),
-            data=tuple(
-                (index[frm], index[to], demand)
-                for (frm, to), demand in scenario.data.items()
-                if demand
-            ),
-            speed=tuple(p.speed for p in processors),
-            power=tuple(p.power for p in processors),
-            bandwidth=ic.bandwidth,
-            energy_per_unit=ic.energy_per_unit,
+            rows=tuple(by_speed[p.speed] for p in self.architecture.processors),
+            data=tuple(data),
         )
 
     @property
@@ -162,13 +164,15 @@ class SystemSpec:
 
     def check_mapping(self, mapping: Mapping) -> None:
         """Raise ValueError unless the mapping fits this spec."""
-        if len(mapping.genes) != len(self.processes):
-            raise ValueError(
-                f"mapping has {len(mapping.genes)} genes, expected {len(self.processes)}"
-            )
-        for i, g in enumerate(mapping.genes):
-            if not 0 <= g < self.n_processors:
-                raise ValueError(f"gene {i} = {g} out of range (processors: {self.n_processors})")
+        genes = mapping.genes
+        if len(genes) != len(self.processes):
+            raise ValueError(f"mapping has {len(genes)} genes, expected {len(self.processes)}")
+        n = self.n_processors
+        if genes and 0 <= min(genes) and max(genes) < n:
+            return
+        for i, g in enumerate(genes):
+            if not 0 <= g < n:
+                raise ValueError(f"gene {i} = {g} out of range (processors: {n})")
 
     def validate(self) -> None:
         """Check every model invariant; raise ConfigSemanticError naming the

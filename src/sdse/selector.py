@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .evaluator import Fitness, _aggregate_costs, _scenario_cost, aggregate_values, full_subset
+from .evaluator import Fitness, _aggregate_costs, _mapping_costs, aggregate_values, full_subset
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
@@ -168,14 +168,14 @@ def _makespan_matrix(spec: SystemSpec, training: TrainingSet) -> list[tuple[floa
     """makespan[i][s] for training entry i and scenario s.
 
     Rows are kept with their entries, so only entries added without one are
-    evaluated here, once.
+    evaluated here, once. Raises ValueError for a mapping that does not fit
+    the spec.
     """
-    compiled = spec.compiled_scenarios
     entries = training.entries
     for entry in entries:
         if entry.row is None:
-            genes = entry.mapping.genes
-            entry.row = tuple(_scenario_cost(scen, genes)[0] for scen in compiled)
+            costs = _mapping_costs(spec, entry.mapping, spec.compiled_scenarios)
+            entry.row = tuple(makespan for makespan, _ in costs)
     return [entry.row for entry in entries]
 
 
@@ -394,12 +394,10 @@ class SelectorService:
 
     def _run_pass(self, prefix: Sequence[Mapping] = ()) -> None:
         t0 = time.perf_counter_ns()
-        compiled = self._spec.compiled_scenarios
         for mapping in list(prefix) + self._drain_queue():
             if not self._training.touch(mapping):
                 # one evaluation gives both the full-set fitness and the row
-                self._spec.check_mapping(mapping)
-                costs = [_scenario_cost(scen, mapping.genes) for scen in compiled]
+                costs = _mapping_costs(self._spec, mapping, self._spec.compiled_scenarios)
                 self._training.add(
                     mapping,
                     _aggregate_costs(costs, self._aggregate),

@@ -14,6 +14,11 @@ Two implementations share one lifecycle and one observable contract:
   lock around the cursor, a condition variable for the blocking wait for
   work, and a second one on which the submitter waits for completion.
 
+An exception that interrupts the submitter's wait for a batch (say, a
+``KeyboardInterrupt``) breaks either pool: the workers stop taking jobs,
+later submits raise :class:`BrokenPoolError` and ``shutdown`` returns once
+the jobs already running have finished.
+
 Atomicity and ordering notes (CPython): the fetch-and-increment is
 ``itertools.count().__next__`` — a single C-level call that runs to
 completion under the GIL, i.e. an indivisible, sequentially consistent
@@ -53,7 +58,8 @@ class BatchInFlightError(PoolError):
 
 
 class BrokenPoolError(PoolError):
-    """A worker thread died fatally; the pool cannot continue."""
+    """A worker thread died fatally or a batch was interrupted; the pool
+    cannot continue."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,10 @@ class JobBatch:
             return idx
         return None
 
+    def cancel(self) -> None:
+        """Hand out no further jobs; jobs already fetched still run."""
+        self.end = -1
+
 
 class WorkPool:
     """Lockless batch pool: persistent workers, barrier-phased lifecycle.
@@ -134,7 +144,7 @@ class WorkPool:
         self._guard = threading.Lock()  # serializes submit/shutdown callers
         self._shutdown = False
         self._closed = False
-        self._broken = False
+        self._broken: str | None = None  # what broke the pool
         self._batch: JobBatch | None = None
         self._batch_seq = -1
         self._phase = "idle"
@@ -216,7 +226,7 @@ class WorkPool:
                     return
         except BaseException:
             # fatal worker failure: break both barriers so nobody hangs
-            self._broken = True
+            self._broken = "a fatal worker failure"
             self._start_barrier.abort()
             self._end_barrier.abort()
             raise
@@ -232,7 +242,7 @@ class WorkPool:
             if self._closed:
                 raise PoolClosedError("pool closed")
             if self._broken:
-                raise BrokenPoolError("pool broken by a fatal worker failure")
+                raise BrokenPoolError(f"pool broken by {self._broken}")
             batch = JobBatch(jobs)
             self._batch = batch
             self._batch_seq += 1
@@ -245,6 +255,16 @@ class WorkPool:
             except threading.BrokenBarrierError:
                 self._closed = True
                 raise BrokenPoolError("pool broken by a fatal worker failure") from None
+            except BaseException:
+                # interrupted (e.g. KeyboardInterrupt) while the workers hold
+                # the batch: stop handing out its jobs and break both barriers,
+                # so the workers exit instead of waiting for a submitter that
+                # has gone, and shutdown need not wait on a barrier
+                self._broken = "an interrupted batch"
+                batch.cancel()
+                self._start_barrier.abort()
+                self._end_barrier.abort()
+                raise
             self._phase = "idle"
             self.last_busy_ns = sum(self._busy_ns)
             if self._diagnostics:
@@ -319,6 +339,7 @@ class LockedWorkPool:
         self._done = 0
         self._shutdown = False
         self._closed = False
+        self._broken = False  # a batch was interrupted
         self._batch_seq = -1
         self._idents = [0] * workers
         self._busy_ns = [0] * workers
@@ -389,6 +410,8 @@ class LockedWorkPool:
         try:
             if self._closed:
                 raise PoolClosedError("pool closed")
+            if self._broken:
+                raise BrokenPoolError("pool broken by an interrupted batch")
             jobs = tuple(jobs)
             n = len(jobs)
             with self._mutex:
@@ -403,8 +426,16 @@ class LockedWorkPool:
                     if self._diagnostics:
                         self._worker_logs[i] = []
                 self._work_cond.notify_all()
-                while self._done < n:
-                    self._done_cond.wait()
+                try:
+                    while self._done < n:
+                        self._done_cond.wait()
+                except BaseException:
+                    # interrupted: nobody collects this batch, so release the
+                    # workers rather than let them finish it into the next one
+                    self._broken = True
+                    self._shutdown = True
+                    self._work_cond.notify_all()
+                    raise
                 results = self._results
                 self.last_busy_ns = sum(self._busy_ns)
                 if self._diagnostics:
@@ -441,21 +472,6 @@ class LockedWorkPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def locked_queue_reference(
-    workers: int,
-    jobs: Sequence[Any],
-    executor: Callable[[Any], Any],
-    *,
-    diagnostics: bool = False,
-) -> list[Any]:
-    """One-shot run of a batch through the lock-based reference pool."""
-    pool = LockedWorkPool(workers, executor, diagnostics=diagnostics)
-    try:
-        return pool.submit_batch(jobs)
-    finally:
-        pool.shutdown()
 
 
 def make_pool(

@@ -262,9 +262,13 @@ def reference_fitness(spec, mapping, subset, aggregate):
 
 
 def _demand(rng):
-    # a quarter of the demands are zero; the rest are arbitrary (non-dyadic)
-    # floats, so the sums round and a changed term would show in the last bit
-    return 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 1000.0)
+    # a quarter of the demands are zero, half of them -0.0 (validate accepts
+    # it); the rest are arbitrary (non-dyadic) floats, so the sums round and
+    # a changed term would show in the last bit
+    r = rng.random()
+    if r < 0.25:
+        return -0.0 if r < 0.125 else 0.0
+    return rng.uniform(0.0, 1000.0)
 
 
 def _random_scenario(rng, apps, name):
@@ -279,16 +283,23 @@ def _random_scenario(rng, apps, name):
 
 
 def random_float_spec(rng):
-    """Random valid spec over arbitrary floats, with zero demands and
-    inactive applications."""
+    """Random valid spec over arbitrary floats, with zero demands, inactive
+    applications, processors of equal speed and repeated channels."""
     apps = []
     for a in range(rng.randint(1, 4)):
         procs = tuple(f"a{a}p{i}" for i in range(rng.randint(1, 6)))
         channels = tuple(zip(procs, procs[1:]))
+        if channels and rng.random() < 0.2:
+            channels += channels[:1]  # a repeated channel still carries its data once
         apps.append(Application(name=f"app{a}", processes=procs, channels=channels))
+    speeds = []
+    for _ in range(rng.randint(1, 5)):
+        # some processors repeat an earlier speed, so their rows are shared
+        shared = speeds and rng.random() < 0.4
+        speeds.append(rng.choice(speeds) if shared else rng.uniform(0.1, 5.0))
     processors = tuple(
-        Processor(name=f"cpu{i}", speed=rng.uniform(0.1, 5.0), power=rng.uniform(0.0, 3.0))
-        for i in range(rng.randint(1, 5))
+        Processor(name=f"cpu{i}", speed=speed, power=rng.uniform(0.0, 3.0))
+        for i, speed in enumerate(speeds)
     )
     arch = Architecture(
         processors=processors,
@@ -306,18 +317,44 @@ def _hex(pair):
     return tuple(x.hex() for x in pair)
 
 
+def _oracle_mappings(spec, rng):
+    """Two random mappings, all processes on one processor (the others
+    empty) and processes dealt round-robin (one each on small specs)."""
+    n_proc, n = spec.n_processors, len(spec.processes)
+    return [
+        random_mapping(spec, rng),
+        random_mapping(spec, rng),
+        Mapping(genes=(rng.randrange(n_proc),) * n),
+        Mapping(genes=tuple(i % n_proc for i in range(n))),
+    ]
+
+
 def test_compiled_evaluator_matches_reference_bit_for_bit():
     rng = random.Random(20261017)
+    seen = dict.fromkeys(["shared row", "-0.0 demand", "empty", "single", "gathered"], 0)
     for _ in range(80):
         spec, foreign = random_float_spec(rng)
-        mappings = [random_mapping(spec, rng) for _ in range(4)]
+        mappings = _oracle_mappings(spec, rng)
+        speeds = [p.speed for p in spec.architecture.processors]
+        seen["shared row"] += len(set(speeds)) < len(speeds)
+        seen["-0.0 demand"] += any(
+            math.copysign(1.0, d) < 0 for s in spec.scenarios for d in s.comp.values()
+        )
         for mapping in mappings:
+            loads = [mapping.genes.count(r) for r in range(spec.n_processors)]
+            seen["empty"] += 0 in loads
+            seen["single"] += 1 in loads
+            seen["gathered"] += max(loads) > 1
             for scen in spec.scenarios + (foreign,):
                 got = scenario_metrics(spec, mapping, scen)
                 expected = reference_metrics(spec, mapping, scen)
                 assert _hex((got.makespan, got.energy)) == _hex(expected)
             n = len(spec.scenarios)
-            subsets = [full_subset(spec), tuple(sorted(rng.sample(range(n), rng.randint(1, n))))]
+            subsets = [
+                full_subset(spec),
+                tuple(sorted(rng.sample(range(n), rng.randint(1, n)))),
+                (rng.randrange(n),),  # k = 1
+            ]
             for subset in subsets:
                 for aggregate in AGGREGATES:
                     fit = evaluate_mapping(spec, mapping, subset, aggregate)
@@ -332,6 +369,7 @@ def test_compiled_evaluator_matches_reference_bit_for_bit():
             for m in training.mappings
         ]
         assert [[x.hex() for x in row] for row in matrix] == expected_matrix
+    assert min(seen.values()) >= 10, seen  # every kernel path was exercised
 
 
 def test_evaluate_mapping_rejects_bad_genes(two_proc_spec):
@@ -345,6 +383,11 @@ def test_evaluate_mapping_rejects_bad_genes(two_proc_spec):
         evaluate_mapping(two_proc_spec, Mapping(genes=(-1, 0)), [0])
     with pytest.raises(ValueError, match="empty scenario subset"):
         evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), ())
+    scen = two_proc_spec.scenarios[0]
+    with pytest.raises(ValueError, match="gene 0 = -1 out of range"):
+        scenario_metrics(two_proc_spec, Mapping(genes=(-1, 0)), scen)
+    with pytest.raises(ValueError, match="gene 1 = 2 out of range"):
+        scenario_metrics(two_proc_spec, Mapping(genes=(0, 2)), scen)
 
 
 def test_spec_compiled_once_and_lazily():
@@ -357,7 +400,7 @@ def test_spec_compiled_once_and_lazily():
     foreign = Scenario("f", frozenset({"a"}), comp={"A": 90.0})
     assert scenario_metrics(spec, Mapping(genes=(0,)), foreign).makespan == 90.0
     assert spec.compiled_scenarios is first and len(first) == 2
-    assert [c.comp for c in first] == [((0, 50.0),), ((0, 70.0),)]
+    assert [c.rows for c in first] == [((50.0,),), ((70.0,),)]
     other = parse_config(render_config(spec))
     assert other.compiled_scenarios == first and other.compiled_scenarios is not first
 
@@ -385,12 +428,25 @@ def test_first_compile_under_concurrent_workers():
 
 def test_compiled_form_drops_zero_demands(two_proc_spec):
     scen = two_proc_spec.scenarios[0]
-    zeroed = Scenario("z", scen.active_apps, comp={"A": 0.0, "B": 40.0}, data={("A", "B"): 0.0})
+    zeroed = Scenario("z", scen.active_apps, comp={"A": -0.0, "B": 40.0}, data={("A", "B"): 0.0})
     compiled = two_proc_spec.compile_scenario(zeroed)
-    assert compiled.comp == ((1, 40.0),) and compiled.data == ()
+    assert compiled.rows == ((0.0, 40.0), (0.0, 40.0)) and compiled.data == (0.0,)
+    assert math.copysign(1.0, compiled.rows[0][0]) == 1.0  # -0.0 is stored as 0.0
+    metrics = scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), zeroed)
+    assert (metrics.makespan, metrics.energy) == (40.0, 40.0)  # zeros add nothing
     (full,) = two_proc_spec.compiled_scenarios
-    assert full.comp == ((0, 60.0), (1, 40.0)) and full.data == ((0, 1, 30.0),)
-    assert full.speed == (1.0, 1.0) and full.bandwidth == 3.0 and full.energy_per_unit == 0.5
+    assert full.rows == ((60.0, 40.0), (60.0, 40.0)) and full.data == (30.0,)
+    assert full.rows[0] is full.rows[1]  # processors of equal speed share a row
+    assert two_proc_spec.channel_ends == ((0, 1),)
+
+
+def test_foreign_scenario_on_undeclared_channel(two_proc_spec):
+    scen = two_proc_spec.scenarios[0]
+    reversed_channel = Scenario("r", scen.active_apps, comp=scen.comp, data={("B", "A"): 5.0})
+    with pytest.raises(KeyError):
+        scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), reversed_channel)
+    zero = Scenario("r0", scen.active_apps, comp=scen.comp, data={("B", "A"): 0.0})
+    assert scenario_metrics(two_proc_spec, Mapping(genes=(0, 1)), zero).makespan == 60.0
 
 
 # --- synthetic job bodies ---------------------------------------------------

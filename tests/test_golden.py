@@ -1,0 +1,130 @@
+"""Golden outputs of ``sdse explore --no-timing``.
+
+Runs the explorer on a seeded mid-size instance (non-dyadic demands, zero
+demands, processors of equal speed) with the full scenario set, with a sync
+SFS and a sync SBS selector, and with the worst-case aggregate, and compares
+sha256 digests of every output file and of stdout with recorded values. Any
+change to fitness values, to the GA trajectory or to subset selection shows
+up here as a changed digest.
+
+Run as a script to print the digests of the checkout on ``sys.path``:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from pathlib import Path
+
+from sdse.cli import main
+
+RUNS = {
+    "full": ["--subset-size", "0"],
+    "sfs": ["--subset-size", "3", "--selector-mode", "sync", "--selector-method", "sfs"],
+    "sbs": ["--subset-size", "3", "--selector-mode", "sync", "--selector-method", "sbs"],
+    "worst": ["--subset-size", "3", "--selector-mode", "sync", "--aggregate", "worst"],
+}
+OUTPUTS = ("history.csv", "selector_log.csv", "best_mapping.json", "stdout")
+
+# sha256 prefixes per run and output, recorded before the per-mapping kernel
+# replaced the per-scenario one; the kernel must not move any of them
+GOLDEN = {
+    "full": {
+        "history.csv": "b1200fd1d2756e7a",
+        "selector_log.csv": "25e24ca98ba7e8fc",
+        "best_mapping.json": "fa6acf41d7553d88",
+        "stdout": "9cbb0d6a30b02ae5",
+    },
+    "sfs": {
+        "history.csv": "660ba9cc9a903f55",
+        "selector_log.csv": "213a2b091351fcf6",
+        "best_mapping.json": "36de9bfbd5982397",
+        "stdout": "9df037416c31b843",
+    },
+    "sbs": {
+        "history.csv": "8bbcfb1fbb3a58da",
+        "selector_log.csv": "c0c50a342642ce60",
+        "best_mapping.json": "b4a3cfcdc81f52fd",
+        "stdout": "e689bd8f97973911",
+    },
+    "worst": {
+        "history.csv": "4dae99e1cdba9eff",
+        "selector_log.csv": "d6b164759c494712",
+        "best_mapping.json": "b57ca60f47199493",
+        "stdout": "795323d65c6126f0",
+    },
+}
+
+
+def golden_config(seed: int = 11) -> dict:
+    """4 applications x 6-process chains, 5 processors (two speed pairs),
+    12 scenarios with about 3 of 4 applications active."""
+    rng = random.Random(seed)
+    applications = []
+    for a in range(4):
+        names = [f"a{a}p{i}" for i in range(6)]
+        channels = [[frm, to] for frm, to in zip(names, names[1:])]
+        applications.append({"name": f"app{a}", "processes": names, "channels": channels})
+    speeds = (1.0, 2.0, 1.5, 1.0, 2.0)
+    processors = [
+        {"name": f"cpu{i}", "speed": s, "power": round(0.4 + s * s / 3, 6)}
+        for i, s in enumerate(speeds)
+    ]
+    scenarios = []
+    for s in range(12):
+        active = [app for app in applications if rng.random() < 0.75] or applications[:1]
+        comp, data = {}, {}
+        for app in active:
+            for p in app["processes"]:
+                comp[p] = 0.0 if rng.random() < 0.1 else round(100 + 400 * rng.random(), 3)
+            for frm, to in app["channels"]:
+                data[f"{frm}->{to}"] = round(20 + 60 * rng.random(), 3)
+        names = [app["name"] for app in active]
+        scenarios.append({"name": f"s{s}", "active_apps": names, "comp": comp, "data": data})
+    return {
+        "applications": applications,
+        "architecture": {
+            "processors": processors,
+            "interconnect": {"bandwidth": 12.5, "energy_per_unit": 0.3},
+        },
+        "scenarios": scenarios,
+    }
+
+
+def run_digests(work_dir: Path) -> dict[str, dict[str, str]]:
+    """Digest prefixes of every output of every run, keyed like GOLDEN."""
+    config = work_dir / "golden.json"
+    config.write_text(json.dumps(golden_config()), encoding="utf-8")
+    digests = {}
+    for name, flags in RUNS.items():
+        out_dir = work_dir / name
+        out_dir.mkdir()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(
+                ["explore", "--config", str(config), "--seed", "5", "--workers", "2"]
+                + ["--generations", "30", "--population", "24", "--no-timing"]
+                + flags
+                + ["--out", str(out_dir)]
+            )
+        assert code == 0, name
+        blobs = {f: (out_dir / f).read_bytes() for f in OUTPUTS[:-1]}
+        blobs["stdout"] = stdout.getvalue().encode()
+        digests[name] = {f: hashlib.sha256(b).hexdigest()[:16] for f, b in blobs.items()}
+    return digests
+
+
+def test_explore_outputs_match_golden_digests(tmp_path):
+    assert run_digests(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(run_digests(Path(tmp)), indent=4))

@@ -17,6 +17,7 @@ from sdse.evaluator import (
 )
 from sdse.model import Mapping, parse_config, random_mapping
 from sdse.selector import (
+    SELECTION_METHODS,
     SelectorService,
     StaticSubsetProvider,
     TrainingSet,
@@ -558,14 +559,16 @@ def test_tau_kernel_matches_oracle_bit_for_bit():
 
 
 def _counting_scenario_cost(monkeypatch):
+    """Counts the scenarios the selector evaluates through the kernel."""
     calls = [0]
-    real = selector_mod._scenario_cost
+    real = selector_mod._mapping_costs
 
-    def counting(compiled, genes):
-        calls[0] += 1
-        return real(compiled, genes)
+    def counting(spec, mapping, scenarios):
+        costs = real(spec, mapping, scenarios)
+        calls[0] += len(costs)
+        return costs
 
-    monkeypatch.setattr(selector_mod, "_scenario_cost", counting)
+    monkeypatch.setattr(selector_mod, "_mapping_costs", counting)
     return calls
 
 
@@ -625,3 +628,17 @@ def test_sync_service_rejects_out_of_range_genes():
     service.submit_training([Mapping(genes=(0, 5))])
     with pytest.raises(ValueError, match="out of range"):
         service.generation_tick()
+
+
+@pytest.mark.parametrize("genes", [(-1, 0), (0, -2), (0, 2)])
+@pytest.mark.parametrize("method", SELECTION_METHODS)
+def test_selection_rejects_genes_out_of_range(genes, method):
+    # a negative gene would otherwise index a processor from the end
+    spec = _selection_spec()
+    ts = TrainingSet()
+    ts.add(Mapping(genes=(0, 1)), Fitness(1.0, 1.0))
+    ts.add(Mapping(genes=genes), Fitness(2.0, 2.0))
+    with pytest.raises(ValueError, match="out of range"):
+        select_subset(spec, ts, 1, method)
+    with pytest.raises(ValueError, match="out of range"):
+        _makespan_matrix(spec, ts)

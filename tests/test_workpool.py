@@ -1,3 +1,4 @@
+import signal
 import threading
 import time
 
@@ -6,13 +7,13 @@ import pytest
 from sdse.workpool import (
     BatchInFlightError,
     BatchLog,
+    BrokenPoolError,
     JobBatch,
     JobError,
     LockedWorkPool,
     PoolClosedError,
     WorkPool,
     execution_counts,
-    locked_queue_reference,
     make_pool,
 )
 
@@ -224,12 +225,13 @@ def test_thread_start_failure_cleans_up(monkeypatch):
 # --- locked reference pool ----------------------------------------------------
 
 
-def test_locked_queue_reference_matches_lockless():
+def test_locked_pool_matches_lockless():
     jobs = list(range(100))
     executor = lambda j: (j * 7) % 13
     with WorkPool(4, executor) as pool:
         lockless = pool.submit_batch(jobs)
-    locked = locked_queue_reference(4, jobs, executor)
+    with LockedWorkPool(4, executor) as pool:
+        locked = pool.submit_batch(jobs)
     assert locked == lockless
 
 
@@ -257,7 +259,8 @@ def test_locked_pool_job_error():
             raise ValueError("bad job")
         return j
 
-    results = locked_queue_reference(2, [0, 1, 2], executor)
+    with LockedWorkPool(2, executor) as pool:
+        results = pool.submit_batch([0, 1, 2])
     assert isinstance(results[0], JobError)
     assert results[1:] == [1, 2]
 
@@ -308,3 +311,55 @@ def test_make_pool():
 def test_execution_counts_helper():
     log = BatchLog(seq=0, fetched=((0, 2), (1,)), idents=(10, 11))
     assert execution_counts(log, 3) == [1, 1, 1]
+
+
+# --- interrupted batch ----------------------------------------------------------
+
+
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which would end the whole test run
+    if it escaped."""
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("queue_kind", ["lockless", "locked"])
+def test_interrupted_batch_breaks_the_pool_without_hanging(queue_kind):
+    release = threading.Event()
+
+    def executor(job):
+        release.wait(5)
+        return job
+
+    def interrupt(signum, frame):
+        raise _Interrupt
+
+    pool = make_pool(queue_kind, 2, executor)
+    old_handler = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(_Interrupt):
+            pool.submit_batch(list(range(8)))  # blocked until the alarm fires
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+    release.set()
+
+    # follow-up calls run on a helper thread, so a regression fails here
+    # instead of hanging the test run
+    outcome = []
+
+    def follow_up():
+        try:
+            pool.submit_batch([1])
+        except BrokenPoolError as exc:
+            outcome.append(str(exc))
+        pool.shutdown()
+        outcome.append("shut down")
+
+    helper = threading.Thread(target=follow_up, daemon=True)
+    helper.start()
+    helper.join(5)
+    assert not helper.is_alive(), "submit or shutdown hung after an interrupted batch"
+    assert outcome == ["pool broken by an interrupted batch", "shut down"]
+    with pytest.raises(PoolClosedError):
+        pool.submit_batch([1])
