@@ -56,14 +56,17 @@ def _parse_workers_list(text: str) -> tuple[int, ...]:
 def _default_workers(flag_value: int | None) -> int:
     """Worker count: flag wins, then SDSE_WORKERS, then available parallelism."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SDSE_WORKERS")
-    if env:
+        workers, source = flag_value, "--workers"
+    elif env := os.environ.get("SDSE_WORKERS"):
         try:
-            return int(env)
+            workers, source = int(env), "SDSE_WORKERS"
         except ValueError:
             raise UsageError(f"SDSE_WORKERS must be an integer, got '{env}'") from None
-    return bench_mod.available_parallelism()
+    else:
+        return bench_mod.available_parallelism()
+    if workers < 1:
+        raise UsageError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _build_parser() -> _Parser:
@@ -228,14 +231,28 @@ def _cmd_select_subset(args) -> int:
 
     spec = parse_config_file(args.config)
     with open(args.training, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"training file '{args.training}': line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
     gene_lists = doc.get("mappings") if isinstance(doc, dict) else None
     if not isinstance(gene_lists, list) or not gene_lists:
         raise ConfigError(f"training file '{args.training}' must contain a 'mappings' list")
     training = TrainingSet(capacity=max(16, len(gene_lists)))
-    for genes in gene_lists:
-        mapping = Mapping(genes=tuple(int(g) for g in genes))
-        spec.check_mapping(mapping)
+    for i, genes in enumerate(gene_lists):
+        # exact ints only: int() would truncate 1.5 and accept true as 1
+        if not isinstance(genes, list) or not all(type(g) is int for g in genes):
+            raise ConfigError(
+                f"training file '{args.training}': mappings[{i}] must be a list of "
+                f"integers, got {json.dumps(genes)}"
+            )
+        mapping = Mapping(genes=tuple(genes))
+        try:
+            spec.check_mapping(mapping)
+        except ValueError as exc:
+            raise ConfigError(f"training file '{args.training}': mappings[{i}]: {exc}") from None
         training.add(mapping, evaluate_mapping(spec, mapping, full_subset(spec), args.aggregate))
     snap = select_subset(spec, training, args.k, method=args.method, aggregate=args.aggregate)
     indices = ",".join(str(i) for i in snap.indices)

@@ -1,25 +1,36 @@
 """Barrier-phased batch work pools with persistent worker threads.
 
-Two implementations share one lifecycle and one observable contract:
+:class:`PoolCore` owns the lifecycle that every queue kind shares: it starts
+the worker threads once (aborting cleanly if a start fails), guards
+``submit_batch`` and ``shutdown`` against concurrent callers, runs each
+claimed job (executor call, :class:`JobError` capture, busy time, result
+slot, diagnostics), keeps the batch logs, and applies one rule when the pool
+breaks. A queue kind supplies only its fetch and wait strategy:
 
-* :class:`WorkPool` — the lockless design. The job queue is a pre-filled
-  vector; workers claim indices with an atomic fetch-and-increment and stop
-  once the claimed index passes the end of the queue. Three rendezvous
-  barriers (init, start, end) delimit the phases: the main thread fills the
-  queue while workers block on the start barrier, then everyone meets again
-  on the end barrier once the queue is drained. The pool processes any number
-  of batches without recreating its threads.
+* :class:`WorkPool` (``lockless``) — the job queue is a pre-filled vector
+  (:class:`JobBatch`); workers claim indices with an atomic
+  fetch-and-increment and stop once the claimed index passes the end of the
+  queue. Two rendezvous barriers (start, end) delimit each batch: the
+  submitter publishes the batch while the workers block on the start
+  barrier, and everyone meets again on the end barrier once the queue is
+  drained.
 
-* :class:`LockedWorkPool` — the reference design it replaced: one exclusive
-  lock around the cursor, a condition variable for the blocking wait for
-  work, and a second one on which the submitter waits for completion.
+* :class:`LockedWorkPool` (``locked``) — the reference design it replaced:
+  one mutex around the cursor, a condition variable on which idle workers
+  wait for work, and a second one on which the submitter waits until every
+  result slot is filled.
 
-An exception that interrupts the submitter's wait for a batch (say, a
-``KeyboardInterrupt``) breaks either pool: the workers stop taking jobs,
-later submits raise :class:`BrokenPoolError` and ``shutdown`` returns once
-the jobs already running have finished.
+Either pool processes any number of batches without recreating its threads.
+A pool breaks the same way in both kinds, whether an exception interrupts
+the submitter's wait for a batch (say, a ``KeyboardInterrupt``) or a worker
+dies of an exception that is not an ``Exception`` (``SystemExit``,
+``KeyboardInterrupt``): the batch hands out no further jobs, the parked
+workers are released and exit, the next ``submit_batch`` raises
+:class:`BrokenPoolError` (the interrupted submit re-raises its interrupt
+instead) and closes the pool, and ``shutdown`` returns once the jobs already
+running have finished.
 
-Atomicity and ordering notes (CPython): the fetch-and-increment is
+Atomicity and ordering notes (CPython): the lockless fetch-and-increment is
 ``itertools.count().__next__`` — a single C-level call that runs to
 completion under the GIL, i.e. an indivisible, sequentially consistent
 read-modify-write (the same primitive the stdlib ``threading`` module uses
@@ -28,10 +39,11 @@ which are reusable cyclic barriers with internal generation counting; their
 condition-variable handshake gives the two happens-before edges the contract
 needs: job descriptions and the queue bounds written before the start
 rendezvous are visible to every worker after it, and result-slot writes
-before the end rendezvous are visible to the submitter after it. Result
-slots are disjoint per job index, so slot writes need no further
-synchronization. A claimed cursor may overshoot the end of the queue by up
-to one per worker; correctness relies only on the bounds comparison.
+before the end rendezvous are visible to the submitter after it. The locked
+kind gets the same edges from its mutex. Result slots are disjoint per job
+index, so slot writes need no further synchronization. A claimed cursor may
+overshoot the end of the queue by up to one per worker; correctness relies
+only on the bounds comparison.
 """
 
 from __future__ import annotations
@@ -114,16 +126,22 @@ class JobBatch:
         self.end = -1
 
 
-class WorkPool:
-    """Lockless batch pool: persistent workers, barrier-phased lifecycle.
+class PoolCore:
+    """Lifecycle shared by every queue kind: persistent workers, one batch
+    at a time.
 
     One designated thread calls submit_batch; submit_batch is not reentrant.
     With ``diagnostics=True`` the pool keeps per-batch fetch logs and checks
     a phase flag on every fetch (used by the property tests); leave it off
     for benchmarking.
+
+    A queue kind implements ``_prepare`` (its synchronization state),
+    ``_await_batch``, ``_claim`` and ``_end_share`` (the worker's side),
+    ``_run_batch`` (the submitter's side: publish a batch, wait for it) and
+    ``_release`` (wake every parked worker so that it exits).
     """
 
-    queue_kind = "lockless"
+    queue_kind: str
 
     def __init__(
         self,
@@ -137,15 +155,10 @@ class WorkPool:
         self._workers = workers
         self._executor = executor
         self._diagnostics = diagnostics
-        parties = workers + 1
-        self._init_barrier = threading.Barrier(parties)
-        self._start_barrier = threading.Barrier(parties)
-        self._end_barrier = threading.Barrier(parties)
         self._guard = threading.Lock()  # serializes submit/shutdown callers
-        self._shutdown = False
         self._closed = False
         self._broken: str | None = None  # what broke the pool
-        self._batch: JobBatch | None = None
+        self._batch = JobBatch(())  # the batch published to the workers
         self._batch_seq = -1
         self._phase = "idle"
         self._idents = [0] * workers
@@ -155,11 +168,16 @@ class WorkPool:
         self.phase_violations: list[tuple[int, int, int]] = []
         self.batch_logs: list[BatchLog] = []
         self.last_busy_ns = 0
+        self._prepare()
+        self._init_barrier = threading.Barrier(workers + 1)
         self._threads: list[threading.Thread] = []
         try:
             for i in range(workers):
                 t = threading.Thread(
-                    target=self._worker, args=(i,), name=f"sdse-worker-{i}", daemon=True
+                    target=self._worker,
+                    args=(i,),
+                    name=f"sdse-{self.queue_kind}-worker-{i}",
+                    daemon=True,
                 )
                 self._start_thread(t)
                 self._threads.append(t)
@@ -188,48 +206,48 @@ class WorkPool:
             self._init_barrier.wait()
         except threading.BrokenBarrierError:
             return
+        executor, claim, diagnostics = self._executor, self._claim, self._diagnostics
         try:
-            while True:
-                try:
-                    self._start_barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
-                if self._shutdown:
-                    return
-                self._cycle_idents[widx] = threading.get_ident()
-                batch = self._batch
-                diagnostics = self._diagnostics
-                log: list[int] | None = [] if diagnostics else None
-                busy = 0
-                executor = self._executor
-                while True:
-                    idx = batch.fetch()
-                    if idx is None:
-                        break
-                    if diagnostics and self._phase != "running":
-                        self.phase_violations.append((self._batch_seq, widx, idx))
+            while (batch := self._await_batch()) is not None:
+                jobs, results = batch.jobs, batch.results
+                log: list[int] = []
+                busy = ran = 0
+                while (idx := claim(batch)) is not None:
+                    if diagnostics:
+                        if self._phase != "running":
+                            self.phase_violations.append((self._batch_seq, widx, idx))
+                        log.append(idx)
                     t0 = time.perf_counter_ns()
                     try:
-                        result = executor(batch.jobs[idx])
+                        result = executor(jobs[idx])
                     except Exception as exc:  # a failed job must not stall the batch
                         result = JobError(f"{type(exc).__name__}: {exc}")
                     busy += time.perf_counter_ns() - t0
-                    batch.results[idx] = result
-                    if log is not None:
-                        log.append(idx)
+                    results[idx] = result
+                    ran += 1
                 self._busy_ns[widx] = busy
                 if diagnostics:
                     self._worker_logs[widx] = log
-                try:
-                    self._end_barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
+                    self._cycle_idents[widx] = threading.get_ident()
+                self._end_share(batch, ran)
+        except threading.BrokenBarrierError:
+            return  # the pool shut down or broke while this worker was parked
         except BaseException:
-            # fatal worker failure: break both barriers so nobody hangs
-            self._broken = "a fatal worker failure"
-            self._start_barrier.abort()
-            self._end_barrier.abort()
+            self._break("a fatal worker failure")
             raise
+
+    def _break(self, reason: str) -> None:
+        """Mark the pool broken: hand out no further jobs of the current
+        batch and release the workers, so nobody waits for a party that has
+        gone."""
+        self._broken = reason
+        self._batch.cancel()
+        self._release()
+
+    def _raise_if_broken(self) -> None:
+        if self._broken:
+            self._closed = True
+            raise BrokenPoolError(f"pool broken by {self._broken}")
 
     def submit_batch(self, jobs: Sequence[Any]) -> list[Any]:
         """Process one batch; returns the results vector, slot i for job i.
@@ -241,31 +259,23 @@ class WorkPool:
         try:
             if self._closed:
                 raise PoolClosedError("pool closed")
-            if self._broken:
-                raise BrokenPoolError(f"pool broken by {self._broken}")
+            self._raise_if_broken()
             batch = JobBatch(jobs)
-            self._batch = batch
             self._batch_seq += 1
-            for i in range(self._workers):
-                self._busy_ns[i] = 0
+            self._busy_ns = [0] * self._workers
+            if self._diagnostics:
+                self._worker_logs = [[] for _ in range(self._workers)]
+                self._cycle_idents = [0] * self._workers
             self._phase = "running"
             try:
-                self._start_barrier.wait()
-                self._end_barrier.wait()
-            except threading.BrokenBarrierError:
-                self._closed = True
-                raise BrokenPoolError("pool broken by a fatal worker failure") from None
+                self._run_batch(batch)
             except BaseException:
-                # interrupted (e.g. KeyboardInterrupt) while the workers hold
-                # the batch: stop handing out its jobs and break both barriers,
-                # so the workers exit instead of waiting for a submitter that
-                # has gone, and shutdown need not wait on a barrier
-                self._broken = "an interrupted batch"
-                batch.cancel()
-                self._start_barrier.abort()
-                self._end_barrier.abort()
+                # interrupted (e.g. KeyboardInterrupt): nobody collects this
+                # batch, so the workers must not finish it into the next one
+                self._break("an interrupted batch")
                 raise
             self._phase = "idle"
+            self._raise_if_broken()  # a worker died during the batch
             self.last_busy_ns = sum(self._busy_ns)
             if self._diagnostics:
                 self.batch_logs.append(
@@ -275,7 +285,6 @@ class WorkPool:
                         idents=tuple(self._cycle_idents),
                     )
                 )
-            self._batch = None
             return batch.results
         finally:
             self._guard.release()
@@ -285,29 +294,54 @@ class WorkPool:
         if not self._guard.acquire(blocking=False):
             raise BatchInFlightError("batch in flight")
         try:
-            if self._closed:
-                return
             self._closed = True
-            self._shutdown = True
-            if not self._broken:
-                try:
-                    self._start_barrier.wait()
-                except threading.BrokenBarrierError:
-                    pass
+            self._release()
             for t in self._threads:
                 t.join()
         finally:
             self._guard.release()
 
-    def __enter__(self) -> "WorkPool":
+    def __enter__(self) -> "PoolCore":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
 
-class LockedWorkPool:
-    """Mutex/condition-variable reference pool with the same contract.
+class WorkPool(PoolCore):
+    """Lockless kind: an atomic cursor and start/end barriers per batch."""
+
+    queue_kind = "lockless"
+
+    def _prepare(self) -> None:
+        self._start_barrier = threading.Barrier(self._workers + 1)
+        self._end_barrier = threading.Barrier(self._workers + 1)
+
+    def _await_batch(self) -> JobBatch:
+        self._start_barrier.wait()
+        return self._batch
+
+    # the atomic counter lives in the batch, so claiming needs no pool state
+    _claim = staticmethod(JobBatch.fetch)
+
+    def _end_share(self, batch: JobBatch, ran: int) -> None:
+        self._end_barrier.wait()
+
+    def _run_batch(self, batch: JobBatch) -> None:
+        self._batch = batch
+        try:
+            self._start_barrier.wait()
+            self._end_barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # a worker died; submit_batch reports the broken pool
+
+    def _release(self) -> None:
+        self._start_barrier.abort()
+        self._end_barrier.abort()
+
+
+class LockedWorkPool(PoolCore):
+    """Mutex/condition-variable reference kind with the same contract.
 
     Fetching takes one exclusive lock around the cursor; idle workers block
     on a condition variable until work arrives, and the submitter blocks on a
@@ -316,162 +350,50 @@ class LockedWorkPool:
 
     queue_kind = "locked"
 
-    def __init__(
-        self,
-        workers: int,
-        executor: Callable[[Any], Any],
-        *,
-        diagnostics: bool = False,
-    ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._workers = workers
-        self._executor = executor
-        self._diagnostics = diagnostics
+    def _prepare(self) -> None:
         self._mutex = threading.Lock()
         self._work_cond = threading.Condition(self._mutex)
         self._done_cond = threading.Condition(self._mutex)
-        self._guard = threading.Lock()
-        self._jobs: tuple[Any, ...] = ()
-        self._results: list[Any] = []
-        self._cur = 1
-        self._end = 0  # cur > end: no work available
-        self._done = 0
-        self._shutdown = False
-        self._closed = False
-        self._broken = False  # a batch was interrupted
-        self._batch_seq = -1
-        self._idents = [0] * workers
-        self._busy_ns = [0] * workers
-        self._worker_logs: list[list[int]] = [[] for _ in range(workers)]
-        self.batch_logs: list[BatchLog] = []
-        self.last_busy_ns = 0
-        self._init_barrier = threading.Barrier(workers + 1)
-        self._threads: list[threading.Thread] = []
-        try:
-            for i in range(workers):
-                t = threading.Thread(
-                    target=self._worker, args=(i,), name=f"sdse-locked-worker-{i}", daemon=True
-                )
-                self._start_thread(t)
-                self._threads.append(t)
-        except BaseException:
-            self._init_barrier.abort()
-            for t in self._threads:
-                t.join()
-            raise
-        self._init_barrier.wait()
+        self._cur = 0  # next index of self._batch to hand out
+        self._done = 0  # jobs of self._batch finished
+        self._released = False
 
-    @staticmethod
-    def _start_thread(thread: threading.Thread) -> None:
-        thread.start()
+    def _await_batch(self) -> JobBatch | None:
+        with self._mutex:
+            while not self._released and self._cur > self._batch.end:
+                self._work_cond.wait()
+            return None if self._released else self._batch
 
-    @property
-    def workers(self) -> int:
-        return self._workers
+    def _claim(self, batch: JobBatch) -> int | None:
+        with self._mutex:
+            idx = self._cur
+            # a worker woken for a batch that has since completed must not
+            # take an index of the next one
+            if batch is not self._batch or idx > batch.end:
+                return None
+            self._cur = idx + 1
+            return idx
 
-    def worker_idents(self) -> tuple[int, ...]:
-        return tuple(self._idents)
-
-    def _worker(self, widx: int) -> None:
-        self._idents[widx] = threading.get_ident()
-        try:
-            self._init_barrier.wait()
-        except threading.BrokenBarrierError:
-            return
-        executor = self._executor
-        while True:
+    def _end_share(self, batch: JobBatch, ran: int) -> None:
+        if ran:
             with self._mutex:
-                while not self._shutdown and self._cur > self._end:
-                    self._work_cond.wait()
-                if self._shutdown:
-                    return
-                idx = self._cur
-                self._cur += 1
-                job = self._jobs[idx]
-            t0 = time.perf_counter_ns()
-            try:
-                result = executor(job)
-            except Exception as exc:
-                result = JobError(f"{type(exc).__name__}: {exc}")
-            elapsed = time.perf_counter_ns() - t0
-            with self._mutex:
-                self._results[idx] = result
-                self._busy_ns[widx] += elapsed
-                if self._diagnostics:
-                    self._worker_logs[widx].append(idx)
-                self._done += 1
-                if self._done == self._end + 1:
-                    self._done_cond.notify_all()
+                self._done += ran
+                if self._done == len(batch.jobs):
+                    self._done_cond.notify()
 
-    def submit_batch(self, jobs: Sequence[Any]) -> list[Any]:
-        if not self._guard.acquire(blocking=False):
-            raise BatchInFlightError("batch in flight")
-        try:
-            if self._closed:
-                raise PoolClosedError("pool closed")
-            if self._broken:
-                raise BrokenPoolError("pool broken by an interrupted batch")
-            jobs = tuple(jobs)
-            n = len(jobs)
-            with self._mutex:
-                self._jobs = jobs
-                self._results = [None] * n
-                self._cur = 0
-                self._end = n - 1
-                self._done = 0
-                self._batch_seq += 1
-                for i in range(self._workers):
-                    self._busy_ns[i] = 0
-                    if self._diagnostics:
-                        self._worker_logs[i] = []
-                self._work_cond.notify_all()
-                try:
-                    while self._done < n:
-                        self._done_cond.wait()
-                except BaseException:
-                    # interrupted: nobody collects this batch, so release the
-                    # workers rather than let them finish it into the next one
-                    self._broken = True
-                    self._shutdown = True
-                    self._work_cond.notify_all()
-                    raise
-                results = self._results
-                self.last_busy_ns = sum(self._busy_ns)
-                if self._diagnostics:
-                    self.batch_logs.append(
-                        BatchLog(
-                            seq=self._batch_seq,
-                            fetched=tuple(tuple(l) for l in self._worker_logs),
-                            idents=tuple(self._idents),
-                        )
-                    )
-                self._jobs = ()
-                self._results = []
-            return results
-        finally:
-            self._guard.release()
+    def _run_batch(self, batch: JobBatch) -> None:
+        with self._mutex:
+            self._batch = batch
+            self._cur = self._done = 0
+            self._work_cond.notify_all()
+            while self._done < len(batch.jobs) and not self._released:
+                self._done_cond.wait()
 
-    def shutdown(self) -> None:
-        if not self._guard.acquire(blocking=False):
-            raise BatchInFlightError("batch in flight")
-        try:
-            if self._closed:
-                return
-            self._closed = True
-            with self._mutex:
-                self._shutdown = True
-                self._work_cond.notify_all()
-            for t in self._threads:
-                t.join()
-        finally:
-            self._guard.release()
-
-    def __enter__(self) -> "LockedWorkPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    def _release(self) -> None:
+        with self._mutex:
+            self._released = True
+            self._work_cond.notify_all()
+            self._done_cond.notify_all()
 
 
 def make_pool(

@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 
 import pytest
 
@@ -180,6 +181,32 @@ def ga_instance() -> SystemSpec:
 @pytest.fixture
 def ga_spec() -> SystemSpec:
     return ga_instance()
+
+
+def call_with_deadline(fn, what: str, timeout: float = 5.0):
+    """Call ``fn()`` on a daemon helper thread and return its result.
+
+    An exception ``fn`` raised is re-raised here. If ``fn`` is still running
+    after ``timeout`` seconds the test fails, so a call that hangs (say, on
+    a broken work pool) fails in seconds instead of blocking the test run.
+    """
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    if helper.is_alive():
+        pytest.fail(f"{what} still running after {timeout:g} s")
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
 
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []

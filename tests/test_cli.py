@@ -285,6 +285,39 @@ def test_select_subset_bad_training_file(ga_config_path, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text,entry",
+    [
+        ('{"mappings": [[0, 0, 0, 0, 0, 0], 5]}', "mappings[1]"),
+        ('{"mappings": [[0, 0, 0, 0, 0, 0], [0, "a", 0, 0, 0, 0]]}', "mappings[1]"),
+        ('{"mappings": [[0, 1.5, 0, 0, 0, 0]]}', "mappings[0]"),
+        ('{"mappings": [[0, true, 0, 0, 0, 0]]}', "mappings[0]"),
+        ('{"mappings": [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 3]]}', "mappings[1]"),
+        ('{"mappings": [[0, 0, 0]]}', "mappings[0]"),
+        ('{"mappings": [[0, 0, 0, 0, 0, 0]', "line 1, column"),
+    ],
+    ids=[
+        "non-list",
+        "string-gene",
+        "float-gene",
+        "bool-gene",
+        "gene-out-of-range",
+        "wrong-length",
+        "malformed-json",
+    ],
+)
+def test_select_subset_bad_training_entry(ga_config_path, tmp_path, capsys, text, entry):
+    training = tmp_path / "bad.json"
+    training.write_text(text)
+    code = main(
+        ["select-subset", "--config", ga_config_path, "--training", str(training), "-k", "2"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert str(training) in err and entry in err
+
+
 def test_bench_command_row_count(tmp_path, capsys):
     out = tmp_path / "b.csv"
     code = main(
@@ -425,3 +458,14 @@ def test_workers_env_override(config_path, tmp_path, monkeypatch, capsys):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, capsys, source):
+    argv = ["explore", "--config", config_path, "--generations", "0", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        monkeypatch.setenv("SDSE_WORKERS", "0")
+    assert main(argv) == 1
+    assert "must be >= 1" in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import itertools
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
 from sdse.workpool import (
+    QUEUE_KINDS,
     BatchInFlightError,
     BatchLog,
     BrokenPoolError,
@@ -12,10 +15,13 @@ from sdse.workpool import (
     JobError,
     LockedWorkPool,
     PoolClosedError,
+    PoolCore,
     WorkPool,
     execution_counts,
     make_pool,
 )
+
+from conftest import call_with_deadline
 
 
 # --- JobBatch / fetch protocol ---------------------------------------------
@@ -64,41 +70,46 @@ def test_fetch_stress_unique_indices():
     assert merged == list(range(1000))
 
 
-# --- WorkPool lifecycle ------------------------------------------------------
+# --- pool lifecycle, both queue kinds ------------------------------------------
 
 
 def test_pool_requires_workers():
-    with pytest.raises(ValueError):
-        WorkPool(0, lambda j: j)
+    for queue_kind in QUEUE_KINDS:
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_pool(queue_kind, 0, lambda j: j)
 
 
 def test_pool_minimal_then_shutdown():
-    pool = WorkPool(1, lambda j: j)
-    assert pool.workers == 1
-    pool.shutdown()
-    pool.shutdown()  # idempotent
+    for queue_kind in QUEUE_KINDS:
+        pool = make_pool(queue_kind, 1, lambda j: j)
+        assert pool.workers == 1
+        pool.shutdown()
+        pool.shutdown()  # idempotent
 
 
 def test_create_then_immediate_shutdown_joins_threads():
-    pool = WorkPool(3, lambda j: j)
-    idents = pool.worker_idents()
-    assert len(idents) == 3 and all(idents)
-    pool.shutdown()
-    for t in pool._threads:
-        assert not t.is_alive()
+    for queue_kind in QUEUE_KINDS:
+        pool = make_pool(queue_kind, 3, lambda j: j)
+        idents = pool.worker_idents()
+        assert len(idents) == 3 and all(idents)
+        pool.shutdown()
+        for t in pool._threads:
+            assert not t.is_alive()
 
 
 def test_submit_after_shutdown():
-    pool = WorkPool(1, lambda j: j)
-    pool.shutdown()
-    with pytest.raises(PoolClosedError, match="pool closed"):
-        pool.submit_batch([1])
+    for queue_kind in QUEUE_KINDS:
+        pool = make_pool(queue_kind, 1, lambda j: j)
+        pool.shutdown()
+        with pytest.raises(PoolClosedError, match="pool closed"):
+            pool.submit_batch([1])
 
 
 def test_empty_batch():
-    with WorkPool(2, lambda j: j) as pool:
-        assert pool.submit_batch([]) == []
-        assert pool.submit_batch([]) == []  # barriers stay aligned
+    for queue_kind in QUEUE_KINDS:
+        with make_pool(queue_kind, 2, lambda j: j) as pool:
+            assert pool.submit_batch([]) == []
+            assert pool.submit_batch([]) == []  # barriers stay aligned
 
 
 def test_thousand_jobs_32_workers():
@@ -125,73 +136,95 @@ def test_job_exception_becomes_job_error():
             raise RuntimeError("boom")
         return j
 
-    with WorkPool(2, executor) as pool:
-        results = pool.submit_batch(list(range(6)))
-    assert isinstance(results[3], JobError)
-    assert "boom" in results[3].message
-    assert [r for i, r in enumerate(results) if i != 3] == [0, 1, 2, 4, 5]
+    for queue_kind in QUEUE_KINDS:
+        with make_pool(queue_kind, 2, executor) as pool:
+            results = pool.submit_batch(list(range(6)))
+        assert isinstance(results[3], JobError)
+        assert "boom" in results[3].message
+        assert [r for i, r in enumerate(results) if i != 3] == [0, 1, 2, 4, 5]
 
 
 def test_batch_in_flight_guard():
-    started = threading.Event()
-    release = threading.Event()
+    for queue_kind in QUEUE_KINDS:
+        started = threading.Event()
+        release = threading.Event()
 
-    def executor(j):
-        started.set()
-        release.wait(5)
-        return j
+        def executor(j):
+            started.set()
+            release.wait(5)
+            return j
 
-    pool = WorkPool(1, executor)
-    errors = []
+        pool = make_pool(queue_kind, 1, executor)
+        errors = []
 
-    def submitter():
-        try:
-            pool.submit_batch([1, 2])
-        except BatchInFlightError as exc:
-            errors.append(exc)
+        def submitter():
+            try:
+                pool.submit_batch([1, 2])
+            except BatchInFlightError as exc:
+                errors.append(exc)
 
-    t = threading.Thread(target=submitter)
-    t.start()
-    assert started.wait(5)  # first job is running, batch is in flight
-    with pytest.raises(BatchInFlightError, match="batch in flight"):
-        pool.submit_batch([3])
-    with pytest.raises(BatchInFlightError):
+        t = threading.Thread(target=submitter)
+        t.start()
+        assert started.wait(5)  # first job is running, batch is in flight
+        with pytest.raises(BatchInFlightError, match="batch in flight"):
+            pool.submit_batch([3])
+        with pytest.raises(BatchInFlightError):
+            pool.shutdown()
+        release.set()
+        t.join(5)
+        assert not t.is_alive()
+        assert not errors
         pool.shutdown()
-    release.set()
-    t.join()
-    assert not errors
-    pool.shutdown()
 
 
 def test_fatal_worker_failure_breaks_pool_without_deadlock():
     # a BaseException escaping the executor must not hang the submitter:
-    # the worker aborts the barriers and the pool reports itself broken
+    # the worker breaks the pool and the pool reports itself broken
     quiet = lambda args: None
     old_hook = threading.excepthook
     threading.excepthook = quiet
     try:
-        def executor(j):
-            if j == 1:
-                raise KeyboardInterrupt  # not a normal job failure
-            return j
+        for queue_kind in QUEUE_KINDS:
+            for fatal in (KeyboardInterrupt, SystemExit):  # not normal job failures
 
-        pool = WorkPool(2, executor)
-        from sdse.workpool import BrokenPoolError
+                def executor(j):
+                    if j == 1:
+                        raise fatal
+                    return j
 
-        with pytest.raises(BrokenPoolError):
-            pool.submit_batch([0, 1, 2, 3])
-        with pytest.raises(PoolClosedError):
-            pool.submit_batch([0])
-        pool.shutdown()  # idempotent even when broken
+                pool = make_pool(queue_kind, 2, executor)
+                what = f"{queue_kind} pool after {fatal.__name__} in a worker"
+                with pytest.raises(BrokenPoolError, match="^pool broken by a fatal worker failure$"):
+                    call_with_deadline(lambda: pool.submit_batch([0, 1, 2, 3]), what)
+                with pytest.raises(PoolClosedError):
+                    call_with_deadline(lambda: pool.submit_batch([0]), what)
+                call_with_deadline(pool.shutdown, what)  # returns even when broken
     finally:
         threading.excepthook = old_hook
 
 
 def test_phase_flag_never_violated():
-    with WorkPool(4, lambda j: j, diagnostics=True) as pool:
-        for _ in range(20):
-            pool.submit_batch(list(range(200)))
-    assert pool.phase_violations == []
+    for queue_kind in QUEUE_KINDS:
+        with make_pool(queue_kind, 4, lambda j: j, diagnostics=True) as pool:
+            for _ in range(20):
+                pool.submit_batch(list(range(200)))
+        assert pool.phase_violations == []
+
+
+def test_tiny_batches_under_fast_thread_switching():
+    # a worker woken for one batch must not take an index of the next one:
+    # more workers than cores, batches of 1-3 jobs and a short switch interval
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for queue_kind in QUEUE_KINDS:
+            with make_pool(queue_kind, 8, lambda j: j * 2, diagnostics=True) as pool:
+                for n in itertools.islice(itertools.cycle((1, 2, 3)), 3000):
+                    jobs = list(range(n))
+                    assert pool.submit_batch(jobs) == [j * 2 for j in jobs], queue_kind
+                    assert execution_counts(pool.batch_logs[-1], n) == [1] * n, queue_kind
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_results_independent_of_worker_count():
@@ -204,22 +237,23 @@ def test_results_independent_of_worker_count():
 
 
 def test_thread_start_failure_cleans_up(monkeypatch):
-    started = []
     real_start = threading.Thread.start
+    for queue_kind in QUEUE_KINDS:
+        started = []
 
-    def flaky_start(thread):
-        if len(started) == 2:
-            raise RuntimeError("no more threads")
-        started.append(thread)
-        real_start(thread)
+        def flaky_start(thread):
+            if len(started) == 2:
+                raise RuntimeError("no more threads")
+            started.append(thread)
+            real_start(thread)
 
-    monkeypatch.setattr(WorkPool, "_start_thread", staticmethod(flaky_start))
-    with pytest.raises(RuntimeError, match="no more threads"):
-        WorkPool(4, lambda j: j)
-    deadline = time.monotonic() + 5
-    for t in started:
-        t.join(max(0.0, deadline - time.monotonic()))
-        assert not t.is_alive()
+        monkeypatch.setattr(PoolCore, "_start_thread", staticmethod(flaky_start))
+        with pytest.raises(RuntimeError, match="no more threads"):
+            make_pool(queue_kind, 4, lambda j: j)
+        deadline = time.monotonic() + 5
+        for t in started:
+            t.join(max(0.0, deadline - time.monotonic()))
+            assert not t.is_alive()
 
 
 # --- locked reference pool ----------------------------------------------------
@@ -241,28 +275,6 @@ def test_locked_pool_empty_batch_and_reuse():
         assert pool.submit_batch([1, 2, 3]) == [2, 3, 4]
         assert pool.submit_batch([]) == []
         assert pool.submit_batch(list(range(50))) == [j + 1 for j in range(50)]
-
-
-def test_locked_pool_lifecycle_errors():
-    pool = LockedWorkPool(1, lambda j: j)
-    pool.shutdown()
-    pool.shutdown()
-    with pytest.raises(PoolClosedError):
-        pool.submit_batch([1])
-    with pytest.raises(ValueError):
-        LockedWorkPool(0, lambda j: j)
-
-
-def test_locked_pool_job_error():
-    def executor(j):
-        if j == 0:
-            raise ValueError("bad job")
-        return j
-
-    with LockedWorkPool(2, executor) as pool:
-        results = pool.submit_batch([0, 1, 2])
-    assert isinstance(results[0], JobError)
-    assert results[1:] == [1, 2]
 
 
 def test_locked_exactly_once_oversubscribed():
@@ -325,8 +337,10 @@ class _Interrupt(BaseException):
 @pytest.mark.parametrize("queue_kind", ["lockless", "locked"])
 def test_interrupted_batch_breaks_the_pool_without_hanging(queue_kind):
     release = threading.Event()
+    started = []
 
     def executor(job):
+        started.append(job)
         release.wait(5)
         return job
 
@@ -346,20 +360,10 @@ def test_interrupted_batch_breaks_the_pool_without_hanging(queue_kind):
 
     # follow-up calls run on a helper thread, so a regression fails here
     # instead of hanging the test run
-    outcome = []
-
-    def follow_up():
-        try:
-            pool.submit_batch([1])
-        except BrokenPoolError as exc:
-            outcome.append(str(exc))
-        pool.shutdown()
-        outcome.append("shut down")
-
-    helper = threading.Thread(target=follow_up, daemon=True)
-    helper.start()
-    helper.join(5)
-    assert not helper.is_alive(), "submit or shutdown hung after an interrupted batch"
-    assert outcome == ["pool broken by an interrupted batch", "shut down"]
+    what = "submit or shutdown after an interrupted batch"
+    with pytest.raises(BrokenPoolError, match="^pool broken by an interrupted batch$"):
+        call_with_deadline(lambda: pool.submit_batch([1]), what)
+    call_with_deadline(pool.shutdown, what)
+    assert len(started) <= 2  # only the jobs running at the interrupt ran
     with pytest.raises(PoolClosedError):
         pool.submit_batch([1])
