@@ -6,6 +6,13 @@ workload is fixed while the worker count varies; speedup is mean wall time
 at 1 worker divided by mean wall time at N workers. Job output checksums are
 compared across every record of an experiment, so a delivery bug under
 parallelism shows up as a hard failure rather than a skewed number.
+
+Records and summary rows are plain dataclasses and this module opens no
+files: ``sdse bench`` writes them, and the summary's ``workers`` and
+``speedup`` columns as plot data, through the CLI's one CSV writer.
+``--no-timing`` zeroes the records' wall, busy, throughput and
+context-switch columns; summary rows carry none of those and keep their
+timings.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import os
 import random
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .evaluator import (
@@ -102,8 +109,12 @@ class BenchConfig:
     def __post_init__(self):
         if not self.workers or any(w < 1 for w in self.workers):
             raise ValueError("workers list must be non-empty with every count >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.warmup_jobs < 0:
+            raise ValueError("warmup_jobs must be >= 0")
         for kind in self.queue_kinds:
             if kind not in QUEUE_KINDS:
                 raise ValueError(f"unknown queue kind '{kind}'")
@@ -234,69 +245,3 @@ def summarize(records: Sequence[BenchRecord]) -> list[SummaryRow]:
                 )
             )
     return rows
-
-
-def strip_timing(records: Sequence[BenchRecord]) -> list[BenchRecord]:
-    """Zero every timing-dependent column (for stable golden files)."""
-    return [
-        replace(
-            rec,
-            wall_ns=0,
-            busy_ns_total=0,
-            jobs_per_sec=0.0,
-            voluntary_ctx_switches=0,
-            involuntary_ctx_switches=0,
-        )
-        for rec in records
-    ]
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def write_csv(rows: Sequence, path: str, row_type: type = BenchRecord) -> None:
-    """Write dataclass rows as CSV: header in field order, one row per record,
-    UTF-8, LF line endings, '.' decimal point. Deterministic byte-for-byte."""
-    if rows:
-        row_type = type(rows[0])
-    names = [f.name for f in fields(row_type)]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, n)) for n in names))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to '{path}': {exc}") from exc
-
-
-def read_records_csv(path: str) -> list[BenchRecord]:
-    """Parse a CSV produced by write_csv back into BenchRecord rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    names = [f.name for f in fields(BenchRecord)]
-    if not lines or lines[0] != ",".join(names):
-        raise ValueError(f"'{path}' does not look like a benchmark record CSV")
-    types = {f.name: f.type for f in fields(BenchRecord)}
-    records = []
-    for line in lines[1:]:
-        values = line.split(",")
-        kwargs = {}
-        for name, raw in zip(names, values):
-            kwargs[name] = float(raw) if types[name] == "float" else (raw if types[name] == "str" else int(raw))
-        records.append(BenchRecord(**kwargs))
-    return records
-
-
-def write_plot_data(summary: Sequence[SummaryRow], path: str) -> None:
-    """Emit workers,speedup pairs for external plotting."""
-    lines = ["workers,speedup"]
-    for row in summary:
-        lines.append(f"{row.workers},{row.speedup!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

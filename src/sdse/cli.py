@@ -1,6 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime error.
+
+Every CSV file the commands write goes through :func:`_write_csv`, and
+``--no-timing`` means one thing in all of them: each column named in
+:data:`TIMING_FIELDS` is written as zero of its type.
 """
 
 from __future__ import annotations
@@ -9,15 +13,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import Sequence
 
 from . import bench as bench_mod
-from .evaluator import aggregate_values, evaluate_mapping, full_subset, make_mapping_executor, scenario_metrics
-from .explorer import GaParams, brute_force_optimum, run_explorer, write_history_csv
+from .evaluator import _aggregate_costs, _mapping_costs, make_mapping_executor, scenario_metrics
+from .explorer import GaParams, GenerationStats, brute_force_optimum, run_explorer
 from .model import ConfigError, Mapping, parse_config_file
 from .selector import (
     SelectorLogRow,
     SelectorService,
     StaticSubsetProvider,
+    TrainingSet,
     select_subset,
 )
 from .workpool import make_pool
@@ -30,6 +37,49 @@ EXIT_RUNTIME = 3
 
 class UsageError(Exception):
     pass
+
+
+# run-dependent columns, zeroed by --no-timing wherever a file has them
+TIMING_FIELDS = frozenset(
+    (
+        "wall_ns",
+        "busy_ns_total",
+        "jobs_per_sec",
+        "voluntary_ctx_switches",
+        "involuntary_ctx_switches",
+    )
+)
+
+
+def _columns(row_type: type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
+def _cell(value, zero: bool) -> str:
+    if zero:
+        value = type(value)(0)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def _write_csv(path: str, columns: Sequence[str], rows: Sequence, no_timing: bool) -> None:
+    """Write the named attributes of each row as CSV under a header of the
+    column names. Floats are written with repr, so they read back exactly;
+    tuples are joined by ';'. UTF-8, LF line endings, deterministic byte for
+    byte. With ``no_timing``, the TIMING_FIELDS columns are written as 0 or
+    0.0."""
+    zeroed = TIMING_FIELDS if no_timing else frozenset()
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_cell(getattr(row, c), c in zeroed) for c in columns))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to '{path}': {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +101,14 @@ def _parse_workers_list(text: str) -> tuple[int, ...]:
         return tuple(int(w) for w in text.split(","))
     except ValueError:
         raise UsageError(f"--workers expects comma-separated integers, got '{text}'") from None
+
+
+def _from_flags(build, **values):
+    """Build a parameter object from flag values; a rejected value is a usage error."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _default_workers(flag_value: int | None) -> int:
@@ -86,7 +144,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--queue", choices=("lockless", "locked"), default="lockless")
     p.add_argument("--job-mode", choices=("inprocess", "subprocess"), default="inprocess")
     p.add_argument("--out", default=".", help="directory for history/selector-log/best-mapping files")
-    p.add_argument("--no-timing", action="store_true", help="zero wall-time columns in output files")
+    p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
 
     p = sub.add_parser("evaluate", help="evaluate one mapping, printing per-scenario metrics")
     p.add_argument("--config", required=True)
@@ -118,7 +176,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--summary-out", default=None, help="speedup table CSV path")
     p.add_argument("--plot-out", default=None, help="workers,speedup pairs path")
-    p.add_argument("--no-timing", action="store_true")
+    p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
     return parser
 
 
@@ -145,7 +203,8 @@ def _cmd_explore(args) -> int:
     k = args.subset_size
     if k < 0 or k > len(spec.scenarios):
         raise UsageError(f"--subset-size must be in 0..{len(spec.scenarios)}")
-    params = GaParams(
+    params = _from_flags(
+        GaParams,
         generations=args.generations,
         seed=args.seed,
         population_size=args.population,
@@ -170,8 +229,10 @@ def _cmd_explore(args) -> int:
             pool.shutdown()
 
     os.makedirs(args.out, exist_ok=True)
-    write_history_csv(result.history, os.path.join(args.out, "history.csv"), args.no_timing)
-    _write_selector_log(provider.log, os.path.join(args.out, "selector_log.csv"), args.no_timing)
+    history_path = os.path.join(args.out, "history.csv")
+    _write_csv(history_path, _columns(GenerationStats), result.history, args.no_timing)
+    log_path = os.path.join(args.out, "selector_log.csv")
+    _write_csv(log_path, _columns(SelectorLogRow), provider.log, args.no_timing)
     best = result.best
     with open(os.path.join(args.out, "best_mapping.json"), "w", encoding="utf-8") as fh:
         json.dump(
@@ -188,30 +249,14 @@ def _cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _write_selector_log(rows: list[SelectorLogRow], path: str, no_timing: bool) -> None:
-    lines = ["version,subset_indices,tau,training_size,wall_ns"]
-    for row in rows:
-        indices = ";".join(str(i) for i in row.subset_indices)
-        wall = 0 if no_timing else row.wall_ns
-        lines.append(f"{row.version},{indices},{row.tau!r},{row.training_size},{wall}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _cmd_evaluate(args) -> int:
     spec = parse_config_file(args.config)
     mapping = Mapping(genes=_parse_genes(args.genes))
-    spec.check_mapping(mapping)
-    makespans = []
-    energies = []
-    for scen in spec.scenarios:
-        m = scenario_metrics(spec, mapping, scen)
-        makespans.append(m.makespan)
-        energies.append(m.energy)
-        print(f"{scen.name}: makespan={m.makespan!r} energy={m.energy!r}")
-    value = aggregate_values(makespans, args.aggregate)
-    energy = aggregate_values(energies, args.aggregate)
-    print(f"aggregate({args.aggregate}): value={value!r} energy={energy!r}")
+    costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
+    for scen, (makespan, energy) in zip(spec.scenarios, costs):
+        print(f"{scen.name}: makespan={makespan!r} energy={energy!r}")
+    fitness = _aggregate_costs(costs, args.aggregate)
+    print(f"aggregate({args.aggregate}): value={fitness.value!r} energy={fitness.energy!r}")
     return EXIT_OK
 
 
@@ -227,8 +272,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_select_subset(args) -> int:
-    from .selector import TrainingSet
-
     spec = parse_config_file(args.config)
     with open(args.training, encoding="utf-8") as fh:
         try:
@@ -253,7 +296,7 @@ def _cmd_select_subset(args) -> int:
             spec.check_mapping(mapping)
         except ValueError as exc:
             raise ConfigError(f"training file '{args.training}': mappings[{i}]: {exc}") from None
-        training.add(mapping, evaluate_mapping(spec, mapping, full_subset(spec), args.aggregate))
+        training.offer(spec, mapping, args.aggregate)
     snap = select_subset(spec, training, args.k, method=args.method, aggregate=args.aggregate)
     indices = ",".join(str(i) for i in snap.indices)
     print(f"subset: indices={indices} tau={snap.tau!r} training_size={len(training)}")
@@ -269,7 +312,8 @@ def _cmd_bench(args) -> int:
     else:
         workers = _parse_workers_list(args.workers)
     spec = parse_config_file(args.config) if args.config else None
-    cfg = bench_mod.BenchConfig(
+    cfg = _from_flags(
+        bench_mod.BenchConfig,
         workers=workers,
         queue_kinds=queue_kinds,
         job_kind=args.job_kind,
@@ -280,15 +324,17 @@ def _cmd_bench(args) -> int:
         spec=spec,
         seed=args.seed,
     )
+    speedups = args.summary_out or args.plot_out
+    if speedups and 1 not in cfg.workers:
+        raise UsageError("--summary-out and --plot-out need worker count 1 as the speedup baseline")
     records = bench_mod.run_scaling_experiment(cfg)
-    out_records = bench_mod.strip_timing(records) if args.no_timing else records
-    bench_mod.write_csv(out_records, args.out)
-    if args.summary_out or args.plot_out:
+    _write_csv(args.out, _columns(bench_mod.BenchRecord), records, args.no_timing)
+    if speedups:
         summary = bench_mod.summarize(records)
         if args.summary_out:
-            bench_mod.write_csv(summary, args.summary_out, row_type=bench_mod.SummaryRow)
+            _write_csv(args.summary_out, _columns(bench_mod.SummaryRow), summary, args.no_timing)
         if args.plot_out:
-            bench_mod.write_plot_data(summary, args.plot_out)
+            _write_csv(args.plot_out, ("workers", "speedup"), summary, args.no_timing)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 

@@ -275,10 +275,7 @@ def make_mapping_executor(
         def executor(job: MappingJob) -> Fitness:
             genes, subset = job
             metrics = [eval_one_subprocess(config_path, genes, i) for i in subset]
-            return Fitness(
-                value=aggregate_values([m.makespan for m in metrics], aggregate),
-                energy=aggregate_values([m.energy for m in metrics], aggregate),
-            )
+            return _aggregate_costs([(m.makespan, m.energy) for m in metrics], aggregate)
 
         return executor
     raise ValueError(f"unknown job mode '{job_mode}' (expected 'inprocess' or 'subprocess')")

@@ -5,8 +5,9 @@ one-point crossover and per-gene uniform mutation. Fitness of a whole
 population is evaluated as one work-pool batch — one job per individual over
 the current scenario subset — so evaluation parallelism never changes the
 results. The explorer adopts a new scenario subset only at generation
-boundaries and re-stamps fitness with the subset version, so fitness from an
-outdated subset is never compared against fresh fitness.
+boundaries and re-evaluates the whole population, elites included, every
+generation, so fitness from an outdated subset is never compared against
+fresh fitness.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ TRAINING_CANDIDATES_PER_GENERATION = 4
 
 @dataclass
 class Individual:
-    """A mapping plus its fitness under some scenario-subset version.
-
-    fitness is None until evaluated; fitness_version records the subset
-    version the fitness belongs to (-1 = full scenario set).
-    """
+    """A mapping plus its fitness on the scenario subset it was last
+    evaluated on; fitness is None until evaluated."""
 
     mapping: Mapping
     fitness: Fitness | None = None
-    fitness_version: int = -1
 
     def sort_key(self) -> tuple[float, tuple[int, ...]]:
         """Lower is better; ties break on lexicographic genes."""
@@ -65,7 +62,10 @@ class GaParams:
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0 <= self.elitism < self.population_size:
-            raise ValueError("elitism must satisfy 0 <= elitism < population_size")
+            raise ValueError(
+                "elitism must satisfy 0 <= elitism < population_size, got "
+                f"elitism={self.elitism}, population_size={self.population_size}"
+            )
 
 
 def init_population(
@@ -81,7 +81,6 @@ def evaluate_population(
     population: list[Individual],
     subset: Sequence[int],
     pool,
-    subset_version: int = 0,
 ) -> list[Individual]:
     """Evaluate the whole population as one batch: job i is individual i.
 
@@ -96,7 +95,6 @@ def evaluate_population(
     results = pool.submit_batch(jobs)
     for ind, res in zip(population, results):
         ind.fitness = Fitness.error() if isinstance(res, JobError) else res
-        ind.fitness_version = subset_version
     return population
 
 
@@ -120,8 +118,7 @@ def next_generation(
             raise ValueError("unevaluated individual in population")
     ranked = sorted(population, key=Individual.sort_key)
     out: list[Individual] = [
-        Individual(mapping=e.mapping, fitness=e.fitness, fitness_version=e.fitness_version)
-        for e in ranked[: params.elitism]
+        Individual(mapping=e.mapping, fitness=e.fitness) for e in ranked[: params.elitism]
     ]
     n_proc = spec.n_processors
     n_genes = len(spec.processes)
@@ -180,7 +177,7 @@ def run_explorer(
     for gen in range(params.generations):
         t0 = time.perf_counter_ns()
         snap = subset_provider.latest()
-        evaluate_population(population, snap.indices, pool, snap.version)
+        evaluate_population(population, snap.indices, pool)
         ranked = sorted(population, key=Individual.sort_key)
         best = ranked[0]
         candidates[best.mapping.genes] = best.mapping
@@ -220,7 +217,7 @@ def run_explorer(
     best_fit = results[best_idx]
     if isinstance(best_fit, JobError):
         best_fit = Fitness.error()
-    best = Individual(mapping=final[best_idx], fitness=best_fit, fitness_version=-1)
+    best = Individual(mapping=final[best_idx], fitness=best_fit)
     return ExplorerResult(best=best, history=history)
 
 
@@ -263,15 +260,3 @@ def brute_force_optimum(
         if best_fit is None or fit.value < best_fit.value:
             best_genes, best_fit = genes, fit
     return BruteForceResult(mapping=Mapping(genes=best_genes), fitness=best_fit, evaluated=count)
-
-
-def write_history_csv(history: Sequence[GenerationStats], path: str, no_timing: bool = False) -> None:
-    """Emit the per-generation history as CSV."""
-    lines = ["generation,best_fitness,mean_fitness,subset_version,wall_ns"]
-    for row in history:
-        wall = 0 if no_timing else row.wall_ns
-        lines.append(
-            f"{row.generation},{row.best_fitness!r},{row.mean_fitness!r},{row.subset_version},{wall}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -126,6 +126,21 @@ class TrainingSet:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def offer(self, spec: SystemSpec, mapping: Mapping, aggregate: str) -> None:
+        """Add a mapping with its full-set fitness and makespan row, both
+        from one evaluation, or only refresh its recency if it is known.
+
+        Raises ValueError for a mapping that does not fit the spec.
+        """
+        if self.touch(mapping):
+            return
+        costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
+        self.add(
+            mapping,
+            _aggregate_costs(costs, aggregate),
+            row=tuple(makespan for makespan, _ in costs),
+        )
+
     def touch(self, mapping: Mapping) -> bool:
         """Refresh the recency of a known mapping; False if absent."""
         key = mapping.genes
@@ -340,10 +355,6 @@ class SelectorService:
         self._error: Exception | None = None  # what ended the selector thread
         self.log: list[SelectorLogRow] = []
 
-    @property
-    def mode(self) -> str:
-        return self._mode
-
     def latest(self) -> SubsetSnapshot:
         """Current snapshot; immutable, safe to read from any thread.
 
@@ -395,14 +406,7 @@ class SelectorService:
     def _run_pass(self, prefix: Sequence[Mapping] = ()) -> None:
         t0 = time.perf_counter_ns()
         for mapping in list(prefix) + self._drain_queue():
-            if not self._training.touch(mapping):
-                # one evaluation gives both the full-set fitness and the row
-                costs = _mapping_costs(self._spec, mapping, self._spec.compiled_scenarios)
-                self._training.add(
-                    mapping,
-                    _aggregate_costs(costs, self._aggregate),
-                    row=tuple(makespan for makespan, _ in costs),
-                )
+            self._training.offer(self._spec, mapping, self._aggregate)
         if len(self._training) < 2:
             return
         snap = select_subset(self._spec, self._training, self._k, self._method, self._aggregate)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -7,14 +8,10 @@ from sdse.bench import (
     BenchRecord,
     available_parallelism,
     physical_core_count,
-    read_records_csv,
     run_scaling_experiment,
-    strip_timing,
     summarize,
-    write_csv,
-    write_plot_data,
 )
-
+from sdse.cli import _columns, _write_csv, main
 
 
 def _quick_cfg(**overrides):
@@ -63,6 +60,10 @@ def test_config_validation(ga_spec):
         BenchConfig(workers=(0,))
     with pytest.raises(ValueError, match="repeats"):
         BenchConfig(workers=(1,), repeats=0)
+    with pytest.raises(ValueError, match="jobs"):
+        BenchConfig(workers=(1,), jobs=0)
+    with pytest.raises(ValueError, match="warmup_jobs"):
+        BenchConfig(workers=(1,), warmup_jobs=-5)
     with pytest.raises(ValueError, match="queue kind"):
         BenchConfig(workers=(1,), queue_kinds=("quantum",))
     with pytest.raises(ValueError, match="job kind"):
@@ -110,50 +111,70 @@ def test_summarize_missing_baseline():
         summarize(records)
 
 
+def _write_records(path, records, no_timing=False):
+    _write_csv(str(path), _columns(BenchRecord), records, no_timing)
+
+
+def _read_records(path) -> list[BenchRecord]:
+    """Parse a records CSV back into rows, converting each column by its field type."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(f.name for f in fields(BenchRecord))
+    convert = [{"str": str, "int": int, "float": float}[f.type] for f in fields(BenchRecord)]
+    return [BenchRecord(*(c(v) for c, v in zip(convert, line.split(",")))) for line in lines[1:]]
+
+
 def test_write_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv([], str(path))
-    assert path.read_text() == (
-        "queue_kind,job_kind,jobs,job_cost,workers,repeat,wall_ns,busy_ns_total,"
-        "jobs_per_sec,voluntary_ctx_switches,involuntary_ctx_switches\n"
+    _write_records(path, [])
+    assert path.read_bytes() == (
+        b"queue_kind,job_kind,jobs,job_cost,workers,repeat,wall_ns,busy_ns_total,"
+        b"jobs_per_sec,voluntary_ctx_switches,involuntary_ctx_switches\n"
     )
 
 
 def test_write_csv_roundtrip(tmp_path):
     records = _fake_records()
     path = tmp_path / "records.csv"
-    write_csv(records, str(path))
-    assert read_records_csv(str(path)) == records
+    _write_records(path, records)
+    assert _read_records(path) == records  # floats are exact after the round trip
 
 
 def test_write_csv_deterministic(tmp_path):
     records = _fake_records()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(records, str(p1))
-    write_csv(records, str(p2))
+    _write_records(p1, records)
+    _write_records(p2, records)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_write_csv_bad_path(tmp_path):
     with pytest.raises(OSError, match="no/such/dir"):
-        write_csv(_fake_records(), str(tmp_path / "no" / "such" / "dir" / "x.csv"))
+        _write_records(tmp_path / "no" / "such" / "dir" / "x.csv", _fake_records())
 
 
-def test_strip_timing():
-    stripped = strip_timing(_fake_records())
+def test_strip_timing(tmp_path):
+    path = tmp_path / "records.csv"
+    _write_records(path, _fake_records(), no_timing=True)
+    stripped = _read_records(path)
     for rec in stripped:
         assert rec.wall_ns == 0 and rec.busy_ns_total == 0 and rec.jobs_per_sec == 0.0
         assert rec.voluntary_ctx_switches == 0 and rec.involuntary_ctx_switches == 0
-    assert stripped[0].jobs == 1000  # workload columns untouched
+    # workload columns untouched
+    assert [r.workers for r in stripped] == [r.workers for r in _fake_records()]
+    assert stripped[0].jobs == 1000 and stripped[0].job_cost == 5
 
 
 def test_plot_data(tmp_path):
-    rows = summarize(_fake_records())
+    # workers,speedup pairs keep their timings under --no-timing
     path = tmp_path / "plot.csv"
-    write_plot_data(rows, str(path))
+    argv = ["bench", "--jobs", "100", "--workers", "1,2,4", "--repeat", "1", "--cost", "0"]
+    argv += ["--no-timing", "--out", str(tmp_path / "b.csv"), "--plot-out", str(path)]
+    assert main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "workers,speedup"
     assert len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "4"]
+    assert lines[1] == "1,1.0" and all(float(line.split(",")[1]) > 0 for line in lines[1:])
 
 
 def test_busy_time_close_to_wall_single_worker():

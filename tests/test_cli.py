@@ -106,6 +106,9 @@ def test_explore_deterministic_outputs(ga_config_path, tmp_path):
     assert len(log_lines) >= 2
     assert log_lines[0] == "version,subset_indices,tau,training_size,wall_ns"
     assert all(line.endswith(",0") for line in log_lines[1:])  # wall zeroed
+    history_lines = (tmp_path / "a" / "history.csv").read_text().splitlines()
+    assert history_lines[0] == "generation,best_fitness,mean_fitness,subset_version,wall_ns"
+    assert len(history_lines) == 7 and all(line.endswith(",0") for line in history_lines[1:])
 
 
 def test_explore_async_mode_runs(ga_config_path, tmp_path):
@@ -276,6 +279,38 @@ def test_select_subset_command(ga_config_path, tmp_path, capsys):
     assert "subset: indices=" in out and "tau=" in out
 
 
+def test_evaluation_commands_run_the_kernel_once_per_mapping(
+    ga_config_path, tmp_path, monkeypatch, capsys
+):
+    # select-subset evaluates each distinct training mapping once, for both
+    # its fitness and its makespan row; evaluate makes one call in total
+    import sdse.cli as cli_mod
+    import sdse.evaluator as evaluator_mod
+    import sdse.selector as selector_mod
+
+    real = evaluator_mod._mapping_costs
+    calls = []
+
+    def counting(spec, mapping, scenarios):
+        calls.append(mapping.genes)
+        return real(spec, mapping, scenarios)
+
+    for mod in (evaluator_mod, selector_mod, cli_mod):
+        if hasattr(mod, "_mapping_costs"):
+            monkeypatch.setattr(mod, "_mapping_costs", counting)
+    genes = [[g] * 6 for g in range(3)]
+    genes += [[0, 1, 2, 0, 1, 2], [1, 0, 1, 0, 1, 0], [2, 1, 0, 2, 1, 0]]
+    training = tmp_path / "training.json"
+    training.write_text(json.dumps({"mappings": genes + [genes[1]]}))
+    argv = ["select-subset", "--config", ga_config_path, "--training", str(training), "-k", "2"]
+    assert main(argv) == 0
+    assert sorted(calls) == sorted(tuple(g) for g in genes)
+    assert "training_size=6" in capsys.readouterr().out
+    calls.clear()
+    assert main(["evaluate", "--config", ga_config_path, "--genes", "0,1,2,0,1,2"]) == 0
+    assert calls == [(0, 1, 2, 0, 1, 2)]
+
+
 def test_select_subset_bad_training_file(ga_config_path, tmp_path, capsys):
     training = tmp_path / "bad.json"
     training.write_text("{}")
@@ -343,17 +378,20 @@ def test_bench_command_row_count(tmp_path, capsys):
 
 
 def test_bench_default_worker_ladder(tmp_path):
-    from sdse.bench import available_parallelism, read_records_csv
+    import csv
+
+    from sdse.bench import available_parallelism
 
     out = tmp_path / "default.csv"
     code = main(
         ["bench", "--jobs", "50", "--repeat", "1", "--cost", "0", "--out", str(out)]
     )
     assert code == 0
-    records = read_records_csv(str(out))
+    with open(out, encoding="utf-8", newline="") as fh:
+        workers = {int(row["workers"]) for row in csv.DictReader(fh)}
     avail = available_parallelism()
     expected = sorted({w for w in (1, 2, 4, 8, 16) if w <= avail} | {avail})
-    assert sorted({r.workers for r in records}) == expected
+    assert sorted(workers) == expected
 
 
 def test_bench_summary_and_plot(tmp_path):
@@ -469,3 +507,50 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
         monkeypatch.setenv("SDSE_WORKERS", "0")
     assert main(argv) == 1
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--workers", "0"],
+        ["bench", "--repeat", "0"],
+        ["bench", "--warmup", "-5"],
+        ["bench", "--jobs", "0"],
+        ["explore", "--population", "0"],
+        ["explore", "--population", "1"],
+        ["explore", "--generations", "-1"],
+    ],
+    ids=[
+        "bench-workers",
+        "bench-repeat",
+        "bench-warmup",
+        "bench-jobs",
+        "population-0",
+        "population-1",
+        "generations",
+    ],
+)
+def test_out_of_range_flag_is_usage_error(config_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "bench":
+        argv = argv + ["--cost", "0", "--out", str(out)]
+    else:
+        argv = argv + ["--config", config_path, "--workers", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--summary-out", "--plot-out"])
+def test_speedup_outputs_without_one_worker_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    import sdse.bench as bench_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(bench_mod, "make_pool", no_pool)
+    argv = ["bench", "--jobs", "50", "--workers", "2,4", "--cost", "0"]
+    argv += ["--out", str(tmp_path / "b.csv"), flag, str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert "worker count 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

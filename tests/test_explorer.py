@@ -4,16 +4,17 @@ import random
 
 import pytest
 
+from sdse.cli import _columns, _write_csv
 from sdse.evaluator import evaluate_mapping, full_subset, make_mapping_executor
 from sdse.explorer import (
     GaParams,
+    GenerationStats,
     Individual,
     brute_force_optimum,
     evaluate_population,
     init_population,
     next_generation,
     run_explorer,
-    write_history_csv,
 )
 from sdse.model import Mapping, parse_config
 from sdse.selector import StaticSubsetProvider
@@ -86,9 +87,8 @@ def test_init_population_uniform_genes():
 def test_evaluate_population_single_matches_direct(two_proc_spec):
     pop = [Individual(mapping=Mapping(genes=(0, 1)))]
     with _pool(two_proc_spec) as pool:
-        evaluate_population(pop, (0,), pool, subset_version=4)
+        evaluate_population(pop, (0,), pool)
     assert pop[0].fitness == evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), [0])
-    assert pop[0].fitness_version == 4
 
 
 def test_evaluate_population_worker_count_invariant(ga_spec):
@@ -249,7 +249,7 @@ def test_history_csv(tmp_path, ga_spec):
     with _pool(ga_spec) as pool:
         result = run_explorer(ga_spec, params, StaticSubsetProvider(ga_spec), pool)
     path = tmp_path / "history.csv"
-    write_history_csv(result.history, str(path), no_timing=True)
+    _write_csv(str(path), _columns(GenerationStats), result.history, no_timing=True)
     lines = path.read_text().splitlines()
     assert lines[0] == "generation,best_fitness,mean_fitness,subset_version,wall_ns"
     assert len(lines) == 4

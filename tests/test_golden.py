@@ -1,11 +1,12 @@
-"""Golden outputs of ``sdse explore --no-timing``.
+"""Golden outputs of ``sdse explore --no-timing`` and ``sdse bench --no-timing``.
 
 Runs the explorer on a seeded mid-size instance (non-dyadic demands, zero
 demands, processors of equal speed) with the full scenario set, with a sync
 SFS and a sync SBS selector, and with the worst-case aggregate, and compares
 sha256 digests of every output file and of stdout with recorded values. Any
 change to fitness values, to the GA trajectory or to subset selection shows
-up here as a changed digest.
+up here as a changed digest. The scaling benchmark's records file, with its
+timing columns zeroed, is guarded the same way.
 
 Run as a script to print the digests of the checkout on ``sys.path``:
 
@@ -59,6 +60,14 @@ GOLDEN = {
         "stdout": "795323d65c6126f0",
     },
 }
+
+
+# sha256 prefixes of ``sdse bench --no-timing`` outputs (cost-0 synthetic
+# jobs, both queue kinds, worker counts 1 and 2, two repetitions), recorded
+# before one CSV writer replaced the per-module ones; stdout names the
+# records file, which is replaced by "OUT" before hashing
+BENCH_ARGS = ["--cost", "0", "--workers", "1,2", "--queue", "both", "--repeat", "2", "--no-timing"]
+BENCH_GOLDEN = {"records.csv": "490081dc48ea7383", "stdout": "c7a57945e6bca514"}
 
 
 def golden_config(seed: int = 11) -> dict:
@@ -119,8 +128,26 @@ def run_digests(work_dir: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def bench_digests(work_dir: Path) -> dict[str, str]:
+    """Digest prefixes of the records file and stdout, keyed like BENCH_GOLDEN."""
+    out = work_dir / "records.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["bench"] + BENCH_ARGS + ["--out", str(out)])
+    assert code == 0
+    blobs = {
+        "records.csv": out.read_bytes(),
+        "stdout": stdout.getvalue().replace(str(out), "OUT").encode(),
+    }
+    return {f: hashlib.sha256(b).hexdigest()[:16] for f, b in blobs.items()}
+
+
 def test_explore_outputs_match_golden_digests(tmp_path):
     assert run_digests(tmp_path) == GOLDEN
+
+
+def test_bench_records_match_golden_digests(tmp_path):
+    assert bench_digests(tmp_path) == BENCH_GOLDEN
 
 
 if __name__ == "__main__":
@@ -128,3 +155,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps(run_digests(Path(tmp)), indent=4))
+        print(json.dumps(bench_digests(Path(tmp)), indent=4))
