@@ -17,7 +17,14 @@ from dataclasses import fields
 from typing import Sequence
 
 from . import bench as bench_mod
-from .evaluator import _aggregate_costs, _mapping_costs, make_mapping_executor, scenario_metrics
+from .evaluator import (
+    DEFAULT_JOB_MODE,
+    JOB_MODES,
+    _aggregate_costs,
+    _mapping_costs,
+    make_mapping_executor,
+    scenario_metrics,
+)
 from .explorer import GaParams, GenerationStats, brute_force_optimum, run_explorer
 from .model import ConfigError, Mapping, parse_config_file
 from .selector import (
@@ -89,11 +96,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_genes(text: str) -> tuple[int, ...]:
+def _parse_mapping(text: str, spec) -> Mapping:
+    """The ``--genes`` mapping; one that does not fit the spec is a usage error."""
     try:
-        return tuple(int(g) for g in text.split(","))
+        mapping = Mapping(genes=tuple(int(g) for g in text.split(",")))
     except ValueError:
         raise UsageError(f"--genes expects comma-separated integers, got '{text}'") from None
+    try:
+        spec.check_mapping(mapping)
+    except ValueError as exc:
+        raise UsageError(f"--genes: {exc}") from None
+    return mapping
 
 
 def _parse_workers_list(text: str) -> tuple[int, ...]:
@@ -142,7 +155,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--selector-method", choices=("sfs", "sbs"), default="sfs")
     p.add_argument("--aggregate", choices=("average", "worst"), default="average")
     p.add_argument("--queue", choices=("lockless", "locked"), default="lockless")
-    p.add_argument("--job-mode", choices=("inprocess", "subprocess"), default="inprocess")
+    p.add_argument(
+        "--job-mode",
+        choices=JOB_MODES,
+        default=DEFAULT_JOB_MODE,
+        help="where mappings are evaluated: one forked child per worker (subprocess, "
+        "the default where fork exists) or on the worker threads (inprocess)",
+    )
     p.add_argument("--out", default=".", help="directory for history/selector-log/best-mapping files")
     p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
 
@@ -188,8 +207,7 @@ def _cmd_eval_one(argv: list[str]) -> int:
     parser.add_argument("--scenario", type=int, required=True)
     args = parser.parse_args(argv)
     spec = parse_config_file(args.config)
-    mapping = Mapping(genes=_parse_genes(args.genes))
-    spec.check_mapping(mapping)
+    mapping = _parse_mapping(args.genes, spec)
     if not 0 <= args.scenario < len(spec.scenarios):
         raise UsageError(f"scenario index {args.scenario} out of range")
     m = scenario_metrics(spec, mapping, spec.scenarios[args.scenario])
@@ -209,9 +227,7 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         population_size=args.population,
     )
-    executor = make_mapping_executor(
-        spec, args.aggregate, job_mode=args.job_mode, config_path=args.config
-    )
+    executor = make_mapping_executor(spec, args.aggregate, job_mode=args.job_mode)
     if k == 0 or k == len(spec.scenarios):
         provider = StaticSubsetProvider(spec)
     else:
@@ -251,7 +267,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = parse_config_file(args.config)
-    mapping = Mapping(genes=_parse_genes(args.genes))
+    mapping = _parse_mapping(args.genes, spec)
     costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
     for scen, (makespan, energy) in zip(spec.scenarios, costs):
         print(f"{scen.name}: makespan={makespan!r} energy={energy!r}")
@@ -273,6 +289,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_select_subset(args) -> int:
     spec = parse_config_file(args.config)
+    if not 1 <= args.k <= len(spec.scenarios):
+        raise UsageError(f"-k must be in 1..{len(spec.scenarios)}, got {args.k}")
     with open(args.training, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -17,6 +17,14 @@ row, and the external data is the masked data row. Zero demands are stored
 as ``0.0``, so every ``math.fsum`` sees the same non-zero terms as a sum over
 the scenario's demands and results are exact to the bit.
 
+The pool executors come in two job modes. ``inprocess`` evaluates on the
+pool's worker threads, which hold the GIL while they do, so more threads
+add no speed. ``subprocess``, the default wherever ``os.fork`` exists, gives
+each pool worker one persistent forked child (:class:`EvaluationChild`)
+through the pool's ``worker_session`` hook: the thread only forwards the
+job and waits on a pipe without the GIL, so N workers evaluate on N cores.
+Results travel as exact doubles, so both modes give bit-identical fitness.
+
 The synthetic job body is a SHA-256 hash chain over a fixed 64 KiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
 of these jobs scale across worker threads while staying bit-deterministic.
@@ -24,17 +32,21 @@ of these jobs scale across worker threads while staying bit-deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
-import subprocess
-import sys
+import os
+import select
+import signal
+import struct
 import time
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
+from .workpool import JobError
 
 AGGREGATES = ("average", "worst")
 
@@ -245,66 +257,215 @@ def alloc_churn_job(rounds: int, block_sizes: Sequence[int] = DEFAULT_CHURN_SIZE
 
 MappingJob = tuple[tuple[int, ...], tuple[int, ...]]  # (genes, scenario indices)
 
+JOB_MODES = ("inprocess", "subprocess")
+# evaluation children are forked; without fork, the pool threads evaluate
+DEFAULT_JOB_MODE = "subprocess" if hasattr(os, "fork") else "inprocess"
+# seconds a child may spend on one job before it is killed and the job fails
+CHILD_JOB_TIMEOUT_S = 60.0
+
+_REQUEST = struct.Struct("<ii")  # gene count, subset size; then that many int32s
+_REPLY = struct.Struct("<BI")  # 0 = fitness, 1 = error text; payload bytes
+_FITNESS = struct.Struct("<dd")  # value, energy
+
+
+class MappingExecutor:
+    """Executor turning (genes, scenario-indices) jobs into Fitness values
+    by calling the evaluator in this process."""
+
+    def __init__(self, spec: SystemSpec, aggregate: str):
+        self.spec = spec
+        self.aggregate = aggregate
+
+    def __call__(self, job: MappingJob) -> Fitness:
+        genes, subset = job
+        return evaluate_mapping(self.spec, Mapping(genes=tuple(genes)), subset, self.aggregate)
+
+
+class ChildMappingExecutor(MappingExecutor):
+    """Mapping executor whose pool workers each evaluate in their own child.
+
+    Called directly, it evaluates in this process. A pool worker instead
+    holds a :meth:`worker_session` for its whole life and forwards every job
+    to the session's child process, so N workers evaluate on N cores while
+    their threads wait on pipes without the GIL.
+    """
+
+    def worker_session(self) -> "EvaluationChild":
+        return EvaluationChild(self.spec, self.aggregate)
+
 
 def make_mapping_executor(
     spec: SystemSpec,
     aggregate: str = "average",
-    job_mode: str = "inprocess",
-    config_path: str | None = None,
-) -> Callable[[MappingJob], Fitness]:
-    """Executor turning (genes, scenario-indices) jobs into Fitness values.
+    job_mode: str = DEFAULT_JOB_MODE,
+) -> MappingExecutor:
+    """Executor for (genes, scenario-indices) jobs.
 
-    ``inprocess`` calls the evaluator directly; ``subprocess`` launches one
-    child process per scenario via the single-job CLI mode and aggregates the
-    printed metrics, which mirrors running each simulation as an external
-    process.
+    ``inprocess`` evaluates on the pool's threads; ``subprocess`` gives each
+    pool worker a persistent forked child (:class:`EvaluationChild`). Both
+    give bit-identical fitness and the same ``JobError`` text for a bad job.
     """
     if aggregate not in AGGREGATES:
         raise ValueError(f"unknown aggregate '{aggregate}'")
     if job_mode == "inprocess":
-
-        def executor(job: MappingJob) -> Fitness:
-            genes, subset = job
-            return evaluate_mapping(spec, Mapping(genes=tuple(genes)), subset, aggregate)
-
-        return executor
+        return MappingExecutor(spec, aggregate)
     if job_mode == "subprocess":
-        if config_path is None:
-            raise ValueError("subprocess job mode requires a config path")
-
-        def executor(job: MappingJob) -> Fitness:
-            genes, subset = job
-            metrics = [eval_one_subprocess(config_path, genes, i) for i in subset]
-            return _aggregate_costs([(m.makespan, m.energy) for m in metrics], aggregate)
-
-        return executor
-    raise ValueError(f"unknown job mode '{job_mode}' (expected 'inprocess' or 'subprocess')")
+        if not hasattr(os, "fork"):
+            raise ValueError("subprocess job mode needs os.fork")
+        return ChildMappingExecutor(spec, aggregate)
+    raise ValueError(f"unknown job mode '{job_mode}' (expected one of {JOB_MODES})")
 
 
-def eval_one_subprocess(
-    config_path: str, genes: Sequence[int], scenario_index: int
-) -> ScenarioMetrics:
-    """Evaluate one (mapping, scenario) pair in a child process.
+class EvaluationChild:
+    """One pool worker's session: a forked child process that evaluates the
+    worker's jobs, one at a time.
 
-    Runs the CLI in single-job mode and parses the ``makespan,energy`` line
-    it prints.
+    Lifecycle: the child is forked on the first job, after the spec has been
+    compiled here, so it inherits the compiled form. It closes every
+    inherited descriptor except its two pipe ends, runs only :func:`_serve`
+    and ends with ``os._exit``, so it never returns into the caller's stack.
+    The serve loop takes no lock, imports nothing and does no I/O but its
+    pipes, so a lock another thread held at the fork cannot block it.
+    A job goes to the child as int32s (gene count, subset size, genes,
+    subset) and comes back as the exact doubles (value, energy), or as the
+    ``"Type: message"`` text of the exception the child's evaluation raised,
+    which becomes the same :class:`JobError` in-process evaluation gives.
+
+    Failures: a child found dead when a job is sent is replaced and the job
+    goes to the new child. A child that dies during a job, or takes longer
+    than :data:`CHILD_JOB_TIMEOUT_S`, is killed and reaped, and its job
+    raises (the pool records a ``JobError``); the next job forks a new
+    child. Leaving the session closes the pipes, kills the child and reaps
+    it.
     """
-    cmd = [
-        sys.executable,
-        "-m",
-        "sdse",
-        "--eval-one",
-        "--config",
-        str(config_path),
-        "--genes",
-        ",".join(str(g) for g in genes),
-        "--scenario",
-        str(scenario_index),
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"single-job evaluation failed (exit {proc.returncode}): {proc.stderr.strip()}"
-        )
-    makespan_s, energy_s = proc.stdout.strip().split(",")
-    return ScenarioMetrics(makespan=float(makespan_s), energy=float(energy_s))
+
+    def __init__(self, spec: SystemSpec, aggregate: str):
+        self._spec = spec
+        self._aggregate = aggregate
+        self._pid = 0  # 0 while no child runs
+        self._to_child = self._from_child = -1
+        self._poll = None  # watches the reply pipe of the running child
+
+    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
+        return self.evaluate
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop()
+
+    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
+        genes, subset = job
+        try:
+            n_genes, n_subset = len(genes), len(subset)
+            request = struct.pack(f"<ii{n_genes + n_subset}i", n_genes, n_subset, *genes, *subset)
+        except struct.error:
+            # no int32 holds it, so no spec accepts it: evaluating here raises
+            # the error the job gives anywhere
+            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
+        if not self._pid:
+            self._start()
+        try:
+            try:
+                _write_all(self._to_child, request)
+            except BrokenPipeError:  # the child died between jobs
+                self._stop()
+                self._start()
+                _write_all(self._to_child, request)
+            reply = self._receive()
+        except BaseException:
+            self._stop()  # a child that hung or died cannot take the next job
+            raise
+        status, _ = _REPLY.unpack_from(reply)
+        if status:
+            return JobError(reply[_REPLY.size :].decode())
+        value, energy = _FITNESS.unpack_from(reply, _REPLY.size)
+        return Fitness(value=value, energy=energy)
+
+    def _receive(self) -> bytes:
+        """The child's whole reply to the job just sent, header included."""
+        deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
+        reply = b""
+        size = _REPLY.size
+        while len(reply) < size:
+            if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+                raise TimeoutError(f"evaluation child gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
+            chunk = os.read(self._from_child, 1 << 16)
+            if not chunk:
+                raise ChildProcessError("evaluation child exited during the job")
+            reply += chunk
+            if len(reply) >= _REPLY.size:
+                size = _REPLY.size + _REPLY.unpack_from(reply)[1]
+        return reply
+
+    def _start(self) -> None:
+        spec = self._spec
+        spec.channel_ends, spec.compiled_scenarios  # built here, inherited by the child
+        requests, to_child = os.pipe()
+        from_child, replies = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (requests, to_child, from_child, replies):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _child_main(spec, self._aggregate, requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self._pid, self._to_child, self._from_child = pid, to_child, from_child
+        self._poll = select.poll()
+        self._poll.register(from_child, select.POLLIN)
+
+    def _stop(self) -> None:
+        """Close the pipes, kill the child and reap it. Idempotent."""
+        if not self._pid:
+            return
+        pid, self._pid = self._pid, 0
+        os.close(self._to_child)
+        os.close(self._from_child)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _child_main(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> NoReturn:
+    """The whole life of a forked evaluation child."""
+    code = 1
+    try:
+        low, high = sorted((requests, replies))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        _serve(spec, aggregate, requests, replies)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _serve(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> None:
+    """Answer jobs in order until the parent closes the request pipe."""
+    while head := _read_exact(requests, _REQUEST.size):
+        n_genes, n_subset = _REQUEST.unpack(head)
+        n = n_genes + n_subset
+        ints = struct.unpack(f"<{n}i", _read_exact(requests, 4 * n))
+        try:
+            fitness = evaluate_mapping(spec, Mapping(genes=ints[:n_genes]), ints[n_genes:], aggregate)
+            reply = _REPLY.pack(0, _FITNESS.size) + _FITNESS.pack(fitness.value, fitness.energy)
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}".encode()
+            reply = _REPLY.pack(1, len(text)) + text
+        _write_all(replies, reply)
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from fd, or fewer if it reaches end of file first."""
+    data = b""
+    while len(data) < n and (chunk := os.read(fd, n - len(data))):
+        data += chunk
+    return data
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]

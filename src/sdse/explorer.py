@@ -98,13 +98,6 @@ def evaluate_population(
     return population
 
 
-def _tournament(
-    population: list[Individual], params: GaParams, rng: random.Random
-) -> Individual:
-    contenders = [population[rng.randrange(len(population))] for _ in range(params.tournament_size)]
-    return min(contenders, key=Individual.sort_key)
-
-
 def next_generation(
     spec: SystemSpec,
     population: list[Individual],
@@ -112,30 +105,66 @@ def next_generation(
     rng: random.Random,
 ) -> list[Individual]:
     """Breed the next population: elites copied unchanged, the rest from
-    tournament selection, one-point crossover and per-gene uniform mutation."""
+    tournament selection, one-point crossover and per-gene uniform mutation.
+
+    Tournament contenders are drawn with replacement and the first of equal
+    best sort keys wins. Every bounded integer is drawn the way CPython's
+    ``randrange`` draws it (``getrandbits`` of the bound's bit length,
+    repeated until below the bound), inlined because this loop runs between
+    every two pool batches; the result equals a ``randrange``-based loop
+    drawing from the same ``rng``.
+    """
+    keys = []
     for ind in population:
         if ind.fitness is None:
             raise ValueError("unevaluated individual in population")
-    ranked = sorted(population, key=Individual.sort_key)
+        keys.append((ind.fitness.value, ind.mapping.genes))
+    if not population:
+        raise ValueError("empty population")
+    size = params.population_size
     out: list[Individual] = [
-        Individual(mapping=e.mapping, fitness=e.fitness) for e in ranked[: params.elitism]
+        Individual(mapping=population[i].mapping, fitness=population[i].fitness)
+        for i in sorted(range(len(keys)), key=keys.__getitem__)[: params.elitism]
     ]
+    getrandbits, random_ = rng.getrandbits, rng.random
+    n_pop = len(population)
+    pop_bits = n_pop.bit_length()
+    rounds = range(params.tournament_size)
     n_proc = spec.n_processors
+    proc_bits = n_proc.bit_length()
     n_genes = len(spec.processes)
-    while len(out) < params.population_size:
-        p1 = _tournament(population, params, rng)
-        p2 = _tournament(population, params, rng)
-        g1, g2 = list(p1.mapping.genes), list(p2.mapping.genes)
-        if n_genes >= 2 and rng.random() < params.crossover_rate:
-            point = rng.randrange(1, n_genes)
+    cut_bits = (n_genes - 1).bit_length()  # crossover point: 1 + a draw below n_genes - 1
+    crossover_rate, mutation_rate = params.crossover_rate, params.mutation_rate
+    gene_range = range(n_genes) if mutation_rate > 0.0 else range(0)
+
+    def tournament() -> list[int]:
+        """Genes of the best of the contenders, the first one on a tie."""
+        best = -1
+        for _ in rounds:
+            j = getrandbits(pop_bits)
+            while j >= n_pop:
+                j = getrandbits(pop_bits)
+            if best < 0 or keys[j] < keys[best]:
+                best = j
+        return list(keys[best][1])
+
+    while len(out) < size:
+        g1, g2 = tournament(), tournament()
+        if n_genes >= 2 and random_() < crossover_rate:
+            point = getrandbits(cut_bits)
+            while point >= n_genes - 1:
+                point = getrandbits(cut_bits)
+            point += 1
             g1, g2 = g1[:point] + g2[point:], g2[:point] + g1[point:]
         for child in (g1, g2):
-            if len(out) >= params.population_size:
+            if len(out) >= size:
                 break
-            if params.mutation_rate > 0.0:
-                for i in range(n_genes):
-                    if rng.random() < params.mutation_rate:
-                        child[i] = rng.randrange(n_proc)
+            for i in gene_range:
+                if random_() < mutation_rate:
+                    g = getrandbits(proc_bits)
+                    while g >= n_proc:
+                        g = getrandbits(proc_bits)
+                    child[i] = g
             out.append(Individual(mapping=Mapping(genes=tuple(child))))
     return out
 

@@ -21,6 +21,13 @@ breaks. A queue kind supplies only its fetch and wait strategy:
   result slot is filled.
 
 Either pool processes any number of batches without recreating its threads.
+An executor may keep state per worker thread by defining ``worker_session()``,
+a context manager that each worker enters once, after the pool has started,
+and leaves when its thread ends (shutdown, a broken pool or its own death).
+The worker calls the callable the session yields for every job instead of
+the executor itself. The mapping executor uses this hook to give each worker
+its own evaluation child process (see :mod:`sdse.evaluator`).
+
 A pool breaks the same way in both kinds, whether an exception interrupts
 the submitter's wait for a batch (say, a ``KeyboardInterrupt``) or a worker
 dies of an exception that is not an ``Exception`` (``SystemExit``,
@@ -28,7 +35,7 @@ dies of an exception that is not an ``Exception`` (``SystemExit``,
 workers are released and exit, the next ``submit_batch`` raises
 :class:`BrokenPoolError` (the interrupted submit re-raises its interrupt
 instead) and closes the pool, and ``shutdown`` returns once the jobs already
-running have finished.
+running have finished and every worker has left its session.
 
 Atomicity and ordering notes (CPython): the lockless fetch-and-increment is
 ``itertools.count().__next__`` — a single C-level call that runs to
@@ -48,6 +55,7 @@ only on the bounds comparison.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -138,7 +146,8 @@ class PoolCore:
     A queue kind implements ``_prepare`` (its synchronization state),
     ``_await_batch``, ``_claim`` and ``_end_share`` (the worker's side),
     ``_run_batch`` (the submitter's side: publish a batch, wait for it) and
-    ``_release`` (wake every parked worker so that it exits).
+    ``_release`` (wake every parked worker so that it exits). The executor's
+    optional ``worker_session()`` is entered and left by ``_worker``.
     """
 
     queue_kind: str
@@ -206,30 +215,32 @@ class PoolCore:
             self._init_barrier.wait()
         except threading.BrokenBarrierError:
             return
-        executor, claim, diagnostics = self._executor, self._claim, self._diagnostics
+        session = getattr(self._executor, "worker_session", None)
+        claim, diagnostics = self._claim, self._diagnostics
         try:
-            while (batch := self._await_batch()) is not None:
-                jobs, results = batch.jobs, batch.results
-                log: list[int] = []
-                busy = ran = 0
-                while (idx := claim(batch)) is not None:
+            with session() if session else contextlib.nullcontext(self._executor) as executor:
+                while (batch := self._await_batch()) is not None:
+                    jobs, results = batch.jobs, batch.results
+                    log: list[int] = []
+                    busy = ran = 0
+                    while (idx := claim(batch)) is not None:
+                        if diagnostics:
+                            if self._phase != "running":
+                                self.phase_violations.append((self._batch_seq, widx, idx))
+                            log.append(idx)
+                        t0 = time.perf_counter_ns()
+                        try:
+                            result = executor(jobs[idx])
+                        except Exception as exc:  # a failed job must not stall the batch
+                            result = JobError(f"{type(exc).__name__}: {exc}")
+                        busy += time.perf_counter_ns() - t0
+                        results[idx] = result
+                        ran += 1
+                    self._busy_ns[widx] = busy
                     if diagnostics:
-                        if self._phase != "running":
-                            self.phase_violations.append((self._batch_seq, widx, idx))
-                        log.append(idx)
-                    t0 = time.perf_counter_ns()
-                    try:
-                        result = executor(jobs[idx])
-                    except Exception as exc:  # a failed job must not stall the batch
-                        result = JobError(f"{type(exc).__name__}: {exc}")
-                    busy += time.perf_counter_ns() - t0
-                    results[idx] = result
-                    ran += 1
-                self._busy_ns[widx] = busy
-                if diagnostics:
-                    self._worker_logs[widx] = log
-                    self._cycle_idents[widx] = threading.get_ident()
-                self._end_share(batch, ran)
+                        self._worker_logs[widx] = log
+                        self._cycle_idents[widx] = threading.get_ident()
+                    self._end_share(batch, ran)
         except threading.BrokenBarrierError:
             return  # the pool shut down or broke while this worker was parked
         except BaseException:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdse
 from sdse.cli import main
-from sdse.evaluator import eval_one_subprocess
 from sdse.explorer import brute_force_optimum
 
 from conftest import ga_instance, two_proc_config
@@ -36,9 +40,56 @@ def test_eval_one_bad_scenario(config_path, capsys):
     assert code == 1
 
 
-def test_eval_one_subprocess_helper(config_path):
-    metrics = eval_one_subprocess(config_path, (0, 1), 0)
-    assert (metrics.makespan, metrics.energy) == (70.0, 115.0)
+def test_eval_one_in_a_child_interpreter(config_path):
+    # the single-job interface as an external simulator would be run
+    src = str(Path(sdse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--eval-one", "--config", config_path, "--genes", "0,1", "--scenario", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdse", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    makespan, energy = (float(x) for x in proc.stdout.strip().split(","))
+    assert (makespan, energy) == (70.0, 115.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--genes", "9,9,9"],
+        ["evaluate", "--genes", "0,5"],
+        ["--eval-one", "--genes", "0", "--scenario", "0"],
+        ["--eval-one", "--genes", "0,-1", "--scenario", "0"],
+    ],
+    ids=["evaluate-gene-count", "evaluate-gene-range", "eval-one-gene-count", "eval-one-negative"],
+)
+def test_genes_that_do_not_fit_are_usage_errors(config_path, capsys, monkeypatch, argv):
+    import sdse.cli as cli_mod
+
+    def no_evaluation(*args):
+        raise AssertionError("a mapping was evaluated")
+
+    for name in ("_mapping_costs", "scenario_metrics"):
+        monkeypatch.setattr(cli_mod, name, no_evaluation)
+    assert main(argv + ["--config", config_path]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --genes: ")
+
+
+@pytest.mark.parametrize("k", ["0", "7", "-1"])
+def test_select_subset_k_out_of_range_is_usage_error_before_evaluating(
+    ga_config_path, tmp_path, monkeypatch, capsys, k
+):
+    import sdse.cli as cli_mod
+
+    def no_evaluation(*args):
+        raise AssertionError("a training mapping was evaluated")
+
+    monkeypatch.setattr(cli_mod.TrainingSet, "offer", no_evaluation)
+    training = tmp_path / "training.json"
+    training.write_text(json.dumps({"mappings": [[0] * 6, [1] * 6]}))
+    argv = ["select-subset", "--config", ga_config_path, "--training", str(training), "-k", k]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: -k must be in 1..3, got {k}\n"
 
 
 def test_explore_zero_generations(config_path, tmp_path, capsys):
@@ -185,6 +236,21 @@ def test_explore_async_selector_failure_exits_runtime(ga_config_path, tmp_path, 
     assert "selector thread failed" in capsys.readouterr().err
     assert len(pools) == 1 and pools[0]._closed
     assert not any(t.is_alive() for t in pools[0]._threads)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_explore_evaluates_in_forked_children_by_default(config_path, tmp_path, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    argv = ["explore", "--config", config_path, "--generations", "2", "--population", "4"]
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path)]) == 0
+    assert 1 <= len(forks) <= 2  # at most one child per worker
 
 
 def test_explore_subprocess_job_mode(config_path, tmp_path, capsys):

@@ -186,6 +186,101 @@ def test_next_generation_genes_stay_valid(ga_spec):
         pop = pop_mappings
 
 
+def _reference_next_generation(spec, population, params, rng):
+    """next_generation as it was written with ``randrange`` and ``min``: the
+    oracle the inlined draws must match draw for draw."""
+    for ind in population:
+        if ind.fitness is None:
+            raise ValueError("unevaluated individual in population")
+
+    def tournament():
+        contenders = [
+            population[rng.randrange(len(population))] for _ in range(params.tournament_size)
+        ]
+        return min(contenders, key=Individual.sort_key)
+
+    ranked = sorted(population, key=Individual.sort_key)
+    out = [Individual(mapping=e.mapping, fitness=e.fitness) for e in ranked[: params.elitism]]
+    n_proc = spec.n_processors
+    n_genes = len(spec.processes)
+    while len(out) < params.population_size:
+        p1 = tournament()
+        p2 = tournament()
+        g1, g2 = list(p1.mapping.genes), list(p2.mapping.genes)
+        if n_genes >= 2 and rng.random() < params.crossover_rate:
+            point = rng.randrange(1, n_genes)
+            g1, g2 = g1[:point] + g2[point:], g2[:point] + g1[point:]
+        for child in (g1, g2):
+            if len(out) >= params.population_size:
+                break
+            if params.mutation_rate > 0.0:
+                for i in range(n_genes):
+                    if rng.random() < params.mutation_rate:
+                        child[i] = rng.randrange(n_proc)
+            out.append(Individual(mapping=Mapping(genes=tuple(child))))
+    return out
+
+
+def test_next_generation_matches_randrange_reference(ga_spec, two_proc_spec, minimal_spec):
+    # small specs repeat genes and fitness values, so tournaments see ties
+    cases = 0
+    for spec in (ga_spec, two_proc_spec, minimal_spec):
+        full = full_subset(spec)
+        for size, elitism in ((1, 0), (5, 0), (7, 1), (13, 4)):
+            for tournament_size in (1, 2, 3, 4):
+                for crossover_rate in (0.0, 0.9, 1.0):
+                    for mutation_rate in (0.0, 0.05, 1.0):
+                        params = GaParams(
+                            generations=3,
+                            seed=size * 100 + tournament_size,
+                            population_size=size,
+                            tournament_size=tournament_size,
+                            crossover_rate=crossover_rate,
+                            mutation_rate=mutation_rate,
+                            elitism=elitism,
+                        )
+                        pop = init_population(spec, params)
+                        rng, ref_rng = random.Random(params.seed), random.Random(params.seed)
+                        for _ in range(params.generations):
+                            for ind in pop:
+                                ind.fitness = evaluate_mapping(spec, ind.mapping, full)
+                            got = next_generation(spec, pop, params, rng)
+                            expected = _reference_next_generation(spec, pop, params, ref_rng)
+                            assert [(i.mapping, i.fitness) for i in got] == [
+                                (i.mapping, i.fitness) for i in expected
+                            ], params
+                            assert rng.getstate() == ref_rng.getstate(), params
+                            pop = got
+                            cases += 1
+    assert cases == 3 * 4 * 4 * 3 * 3 * 3
+
+
+def test_next_generation_rejects_an_empty_population(ga_spec):
+    params = GaParams(generations=1, seed=1, population_size=4)
+    with pytest.raises(ValueError, match="empty population"):
+        next_generation(ga_spec, [], params, random.Random(1))
+
+
+def test_inline_bounded_draw_matches_randrange():
+    # next_generation draws below n as getrandbits(n.bit_length()), repeated
+    # until below n, and a crossover point as 1 + a draw below n_genes - 1;
+    # check both against randrange over every bound the GA can use here
+    for n in range(1, 130):
+        ours, theirs = random.Random(n), random.Random(n)
+        bits = n.bit_length()
+        for _ in range(100):
+            r = ours.getrandbits(bits)
+            while r >= n:
+                r = ours.getrandbits(bits)
+            assert r == theirs.randrange(n)
+            if n >= 2:
+                cut = ours.getrandbits((n - 1).bit_length())
+                while cut >= n - 1:
+                    cut = ours.getrandbits((n - 1).bit_length())
+                assert 1 + cut == theirs.randrange(1, n)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_elite_fitness_non_increasing(ga_spec):
     params = GaParams(generations=1, seed=4, population_size=16)
     pop = _evaluated_population(ga_spec, params)

@@ -6,7 +6,8 @@ SFS and a sync SBS selector, and with the worst-case aggregate, and compares
 sha256 digests of every output file and of stdout with recorded values. Any
 change to fitness values, to the GA trajectory or to subset selection shows
 up here as a changed digest. The scaling benchmark's records file, with its
-timing columns zeroed, is guarded the same way.
+timing columns zeroed, is guarded the same way. Explore outputs must also be
+byte-identical between the two job modes.
 
 Run as a script to print the digests of the checkout on ``sys.path``:
 
@@ -144,6 +145,28 @@ def bench_digests(work_dir: Path) -> dict[str, str]:
 
 def test_explore_outputs_match_golden_digests(tmp_path):
     assert run_digests(tmp_path) == GOLDEN
+
+
+def test_explore_outputs_identical_in_both_job_modes(tmp_path):
+    # forked evaluation children and in-process evaluation write the same bytes
+    config = tmp_path / "golden.json"
+    config.write_text(json.dumps(golden_config()), encoding="utf-8")
+    for k in ("0", "8"):
+        outputs = []
+        for job_mode in ("inprocess", "subprocess"):
+            out_dir = tmp_path / f"k{k}-{job_mode}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(
+                    ["explore", "--config", str(config), "--seed", "3", "--workers", "2"]
+                    + ["--generations", "20", "--population", "16", "--no-timing"]
+                    + ["--subset-size", k, "--selector-mode", "sync", "--job-mode", job_mode]
+                    + ["--out", str(out_dir)]
+                )
+            assert code == 0, (k, job_mode)
+            blobs = [(out_dir / f).read_bytes() for f in OUTPUTS[:-1]]
+            outputs.append(blobs + [stdout.getvalue().encode()])
+        assert outputs[0] == outputs[1], k
 
 
 def test_bench_records_match_golden_digests(tmp_path):
