@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .evaluator import (
-    DEFAULT_CHURN_SIZES,
     alloc_churn_job,
     calibrate_synthetic_cost,
     full_subset,
@@ -102,7 +101,6 @@ class BenchConfig:
     job_cost: int | None = None  # synthetic iterations / churn rounds; None = ~1 ms calibration
     repeats: int = 6
     warmup_jobs: int = 100
-    churn_block_sizes: tuple[int, ...] = DEFAULT_CHURN_SIZES
     spec: SystemSpec | None = None  # simulate workload only
     seed: int = 1
 
@@ -111,6 +109,8 @@ class BenchConfig:
             raise ValueError("workers list must be non-empty with every count >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.job_cost is not None and self.job_cost < 0:
+            raise ValueError("job_cost must be >= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.warmup_jobs < 0:
@@ -131,8 +131,7 @@ def _make_workload(cfg: BenchConfig) -> tuple[list, Callable, int]:
         return [cost] * cfg.jobs, synthetic_job, cost
     if cfg.job_kind == "alloc_churn":
         rounds = cfg.job_cost if cfg.job_cost is not None else 50
-        sizes = cfg.churn_block_sizes
-        return [rounds] * cfg.jobs, lambda r: alloc_churn_job(r, sizes), rounds
+        return [rounds] * cfg.jobs, alloc_churn_job, rounds
     # simulate: random mappings over the full scenario set
     rng = random.Random(cfg.seed)
     subset = full_subset(cfg.spec)
@@ -159,18 +158,19 @@ def _ctx_switches() -> tuple[int, int]:
 def run_scaling_experiment(cfg: BenchConfig) -> list[BenchRecord]:
     """One record per (queue kind, worker count, repetition), fresh pool each.
 
-    Worker counts are interleaved within each repetition round so slow drift
-    in machine load hits every worker count evenly instead of biasing the
-    speedup ratios. Raises RuntimeError if any record's job-output checksum
-    differs from the first one (the workload is deterministic, so they must
-    all agree).
+    Each repetition round runs every queue kind at every worker count, so
+    slow drift in machine load hits all of them evenly instead of biasing
+    the speedup ratios or the queue comparison. Records come back grouped
+    by queue kind, then by repetition and worker count. Raises RuntimeError
+    if any record's job-output checksum differs from the first one (the
+    workload is deterministic, so they must all agree).
     """
     jobs, executor, job_cost = _make_workload(cfg)
     warmup = jobs[: cfg.warmup_jobs]
-    records: list[BenchRecord] = []
+    records: dict[str, list[BenchRecord]] = {kind: [] for kind in cfg.queue_kinds}
     expected_checksum: str | None = None
-    for queue_kind in cfg.queue_kinds:
-        for repeat in range(cfg.repeats):
+    for repeat in range(cfg.repeats):
+        for queue_kind in cfg.queue_kinds:
             for workers in cfg.workers:
                 pool = make_pool(queue_kind, workers, executor)
                 try:
@@ -193,7 +193,7 @@ def run_scaling_experiment(cfg: BenchConfig) -> list[BenchRecord]:
                         f"workers={workers} repeat={repeat}"
                     )
                 wall_ns = max(wall_ns, 1)
-                records.append(
+                records[queue_kind].append(
                     BenchRecord(
                         queue_kind=queue_kind,
                         job_kind=cfg.job_kind,
@@ -208,7 +208,7 @@ def run_scaling_experiment(cfg: BenchConfig) -> list[BenchRecord]:
                         involuntary_ctx_switches=(cs1[1] - cs0[1]) if cs0[1] >= 0 else -1,
                     )
                 )
-    return records
+    return [record for kind_records in records.values() for record in kind_records]
 
 
 def summarize(records: Sequence[BenchRecord]) -> list[SummaryRow]:

@@ -17,14 +17,7 @@ from dataclasses import fields
 from typing import Sequence
 
 from . import bench as bench_mod
-from .evaluator import (
-    DEFAULT_JOB_MODE,
-    JOB_MODES,
-    _aggregate_costs,
-    _mapping_costs,
-    make_mapping_executor,
-    scenario_metrics,
-)
+from .evaluator import _aggregate_costs, _mapping_costs, make_mapping_executor
 from .explorer import GaParams, GenerationStats, brute_force_optimum, run_explorer
 from .model import ConfigError, Mapping, parse_config_file
 from .selector import (
@@ -155,13 +148,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--selector-method", choices=("sfs", "sbs"), default="sfs")
     p.add_argument("--aggregate", choices=("average", "worst"), default="average")
     p.add_argument("--queue", choices=("lockless", "locked"), default="lockless")
-    p.add_argument(
-        "--job-mode",
-        choices=JOB_MODES,
-        default=DEFAULT_JOB_MODE,
-        help="where mappings are evaluated: one forked child per worker (subprocess, "
-        "the default where fork exists) or on the worker threads (inprocess)",
-    )
     p.add_argument("--out", default=".", help="directory for history/selector-log/best-mapping files")
     p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
 
@@ -199,22 +185,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_eval_one(argv: list[str]) -> int:
-    parser = _Parser(prog="sdse --eval-one")
-    parser.add_argument("--eval-one", action="store_true", required=True)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--genes", required=True)
-    parser.add_argument("--scenario", type=int, required=True)
-    args = parser.parse_args(argv)
-    spec = parse_config_file(args.config)
-    mapping = _parse_mapping(args.genes, spec)
-    if not 0 <= args.scenario < len(spec.scenarios):
-        raise UsageError(f"scenario index {args.scenario} out of range")
-    m = scenario_metrics(spec, mapping, spec.scenarios[args.scenario])
-    print(f"{m.makespan!r},{m.energy!r}")
-    return EXIT_OK
-
-
 def _cmd_explore(args) -> int:
     spec = parse_config_file(args.config)
     workers = _default_workers(args.workers)
@@ -227,7 +197,7 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         population_size=args.population,
     )
-    executor = make_mapping_executor(spec, args.aggregate, job_mode=args.job_mode)
+    executor = make_mapping_executor(spec, args.aggregate)
     if k == 0 or k == len(spec.scenarios):
         provider = StaticSubsetProvider(spec)
     else:
@@ -359,11 +329,7 @@ def _cmd_bench(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        if "--eval-one" in argv:
-            return _cmd_eval_one(argv)
         parser = _build_parser()
         args = parser.parse_args(argv)
         if args.command is None:

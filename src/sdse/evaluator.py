@@ -17,13 +17,13 @@ row, and the external data is the masked data row. Zero demands are stored
 as ``0.0``, so every ``math.fsum`` sees the same non-zero terms as a sum over
 the scenario's demands and results are exact to the bit.
 
-The pool executors come in two job modes. ``inprocess`` evaluates on the
-pool's worker threads, which hold the GIL while they do, so more threads
-add no speed. ``subprocess``, the default wherever ``os.fork`` exists, gives
-each pool worker one persistent forked child (:class:`EvaluationChild`)
-through the pool's ``worker_session`` hook: the thread only forwards the
-job and waits on a pipe without the GIL, so N workers evaluate on N cores.
-Results travel as exact doubles, so both modes give bit-identical fitness.
+Wherever ``os.fork`` exists, the pool's mapping executor gives each pool
+worker one persistent forked child (:class:`EvaluationChild`) through the
+pool's ``worker_session`` hook: the thread only forwards the job and waits
+on a pipe without the GIL, so N workers evaluate on N cores. Without fork,
+the worker threads evaluate in process (:class:`MappingExecutor`), holding
+the GIL while they do. Results travel as exact doubles, so both give
+bit-identical fitness.
 
 The synthetic job body is a SHA-256 hash chain over a fixed 64 KiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
@@ -257,9 +257,6 @@ def alloc_churn_job(rounds: int, block_sizes: Sequence[int] = DEFAULT_CHURN_SIZE
 
 MappingJob = tuple[tuple[int, ...], tuple[int, ...]]  # (genes, scenario indices)
 
-JOB_MODES = ("inprocess", "subprocess")
-# evaluation children are forked; without fork, the pool threads evaluate
-DEFAULT_JOB_MODE = "subprocess" if hasattr(os, "fork") else "inprocess"
 # seconds a child may spend on one job before it is killed and the job fails
 CHILD_JOB_TIMEOUT_S = 60.0
 
@@ -270,7 +267,8 @@ _FITNESS = struct.Struct("<dd")  # value, energy
 
 class MappingExecutor:
     """Executor turning (genes, scenario-indices) jobs into Fitness values
-    by calling the evaluator in this process."""
+    by calling the evaluator in this process: the pool's executor where
+    ``os.fork`` is missing, and the reference the children must match."""
 
     def __init__(self, spec: SystemSpec, aggregate: str):
         self.spec = spec
@@ -294,26 +292,19 @@ class ChildMappingExecutor(MappingExecutor):
         return EvaluationChild(self.spec, self.aggregate)
 
 
-def make_mapping_executor(
-    spec: SystemSpec,
-    aggregate: str = "average",
-    job_mode: str = DEFAULT_JOB_MODE,
-) -> MappingExecutor:
+def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> MappingExecutor:
     """Executor for (genes, scenario-indices) jobs.
 
-    ``inprocess`` evaluates on the pool's threads; ``subprocess`` gives each
-    pool worker a persistent forked child (:class:`EvaluationChild`). Both
-    give bit-identical fitness and the same ``JobError`` text for a bad job.
+    Each pool worker gets a persistent forked child (:class:`EvaluationChild`)
+    wherever ``os.fork`` exists; elsewhere the pool's threads evaluate in
+    process. Both give bit-identical fitness and the same ``JobError`` text
+    for a bad job.
     """
     if aggregate not in AGGREGATES:
         raise ValueError(f"unknown aggregate '{aggregate}'")
-    if job_mode == "inprocess":
-        return MappingExecutor(spec, aggregate)
-    if job_mode == "subprocess":
-        if not hasattr(os, "fork"):
-            raise ValueError("subprocess job mode needs os.fork")
+    if hasattr(os, "fork"):
         return ChildMappingExecutor(spec, aggregate)
-    raise ValueError(f"unknown job mode '{job_mode}' (expected one of {JOB_MODES})")
+    return MappingExecutor(spec, aggregate)
 
 
 class EvaluationChild:

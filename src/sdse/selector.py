@@ -39,6 +39,8 @@ from .evaluator import Fitness, _aggregate_costs, _mapping_costs, aggregate_valu
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
+TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
+CANDIDATE_QUEUE_SIZE = 64  # async candidates waiting for the selector; more are dropped
 
 # (pair signs, number of tied pairs) of a reference ranking; see _tau_reference
 TauReference = tuple[list[int], int]
@@ -109,7 +111,7 @@ class TrainingSet:
     row are kept as given.
     """
 
-    def __init__(self, capacity: int = 16):
+    def __init__(self, capacity: int = TRAINING_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -332,9 +334,7 @@ class SelectorService:
         k: int,
         aggregate: str = "average",
         mode: str = "sync",
-        capacity: int = 16,
         method: str = "sfs",
-        queue_size: int = 64,
     ):
         if mode not in ("sync", "async"):
             raise ValueError(f"unknown selector mode '{mode}'")
@@ -346,8 +346,8 @@ class SelectorService:
         self._aggregate = aggregate
         self._mode = mode
         self._method = method
-        self._training = TrainingSet(capacity)
-        self._queue: queue.Queue[Mapping] = queue.Queue(maxsize=queue_size)
+        self._training = TrainingSet(TRAINING_CAPACITY)
+        self._queue: queue.Queue[Mapping] = queue.Queue(maxsize=CANDIDATE_QUEUE_SIZE)
         self._version = 0
         self._snapshot = SubsetSnapshot(indices=full_subset(spec), version=0, tau=1.0)
         self._thread: threading.Thread | None = None

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+import sdse.bench as bench_mod
 from sdse.bench import (
     BenchConfig,
     BenchRecord,
@@ -45,6 +46,28 @@ def test_checksum_invariant_across_workers_and_queues():
     assert len(records) == 4
 
 
+def test_queue_kinds_interleave_within_each_repetition(monkeypatch):
+    # load drift must hit both queue kinds alike, so every repetition runs
+    # each kind at each worker count before the next repetition starts
+    pools = []
+    real_make_pool = bench_mod.make_pool
+
+    def recording_make_pool(queue_kind, workers, executor):
+        pools.append((queue_kind, workers))
+        return real_make_pool(queue_kind, workers, executor)
+
+    monkeypatch.setattr(bench_mod, "make_pool", recording_make_pool)
+    kinds, workers = ("lockless", "locked"), (1, 2)
+    records = run_scaling_experiment(
+        _quick_cfg(workers=workers, queue_kinds=kinds, repeats=3, jobs=50, warmup_jobs=0)
+    )
+    assert pools == [(q, w) for _ in range(3) for q in kinds for w in workers]
+    # records stay grouped by queue kind, then repetition, then worker count
+    assert [(r.queue_kind, r.repeat, r.workers) for r in records] == [
+        (q, rep, w) for q in kinds for rep in range(3) for w in workers
+    ]
+
+
 def test_simulate_workload(ga_spec):
     records = run_scaling_experiment(
         _quick_cfg(job_kind="simulate", spec=ga_spec, jobs=50, workers=(1, 2))
@@ -62,6 +85,10 @@ def test_config_validation(ga_spec):
         BenchConfig(workers=(1,), repeats=0)
     with pytest.raises(ValueError, match="jobs"):
         BenchConfig(workers=(1,), jobs=0)
+    with pytest.raises(ValueError, match="job_cost"):
+        BenchConfig(workers=(1,), job_cost=-1)
+    with pytest.raises(ValueError, match="job_cost"):
+        BenchConfig(workers=(1,), job_kind="alloc_churn", job_cost=-3)
     with pytest.raises(ValueError, match="warmup_jobs"):
         BenchConfig(workers=(1,), warmup_jobs=-5)
     with pytest.raises(ValueError, match="queue kind"):

@@ -1,10 +1,10 @@
-"""Persistent evaluation children (``--job-mode subprocess``).
+"""Persistent evaluation children (the mapping executor wherever fork exists).
 
 Each pool worker forwards its jobs to its own forked child. These tests check
-that the children give exactly what in-process evaluation gives, and that
-every way a child can fail ends promptly with one failed job and a reaped
-child. A test patches ``evaluate_mapping`` before the first job; the fork
-inherits the patch, so the child runs it.
+that the children give exactly what in-process evaluation (``MappingExecutor``)
+gives, and that every way a child can fail ends promptly with one failed job
+and a reaped child. A test patches ``evaluate_mapping`` before the first job;
+the fork inherits the patch, so the child runs it.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import sdse.evaluator as evaluator
 from sdse.evaluator import (
     AGGREGATES,
     Fitness,
+    MappingExecutor,
     evaluate_mapping,
     full_subset,
     make_mapping_executor,
@@ -34,7 +35,7 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def _children(workers, spec, aggregate="average", queue_kind="lockless"):
-    return make_pool(queue_kind, workers, make_mapping_executor(spec, aggregate, "subprocess"))
+    return make_pool(queue_kind, workers, make_mapping_executor(spec, aggregate))
 
 
 def _hex(result):
@@ -59,7 +60,7 @@ def test_child_results_equal_in_process_bit_for_bit():
         subsets = [full_subset(spec), (rng.randrange(n),), tuple(rng.sample(range(n), n))]
         jobs = [(m.genes, s) for m in _oracle_mappings(spec, rng) for s in subsets]
         for aggregate in AGGREGATES:
-            expected = [make_mapping_executor(spec, aggregate, "inprocess")(job) for job in jobs]
+            expected = [MappingExecutor(spec, aggregate)(job) for job in jobs]
             with _children(2, spec, aggregate) as pool:
                 got = pool.submit_batch(jobs)
             assert [_hex(r) for r in got] == [_hex(r) for r in expected]
@@ -76,7 +77,7 @@ def test_child_job_errors_read_like_in_process_ones(two_proc_spec):
         ((0, 2**40), (0,)),  # a gene no int32 holds
         ((0, 1), (0,)),  # a good job between the bad ones
     ]
-    with make_pool("lockless", 1, make_mapping_executor(two_proc_spec, job_mode="inprocess")) as pool:
+    with make_pool("lockless", 1, MappingExecutor(two_proc_spec, "average")) as pool:
         expected = pool.submit_batch(jobs)
     with _children(1, two_proc_spec) as pool:
         got = pool.submit_batch(jobs)
@@ -92,7 +93,7 @@ def test_results_identical_at_any_worker_count_and_queue_kind():
     full = full_subset(spec)
     jobs = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(64)]
     jobs += [(genes, (2, 0)) for genes, _ in jobs[:16]]
-    expected = [_hex(make_mapping_executor(spec, job_mode="inprocess")(job)) for job in jobs]
+    expected = [_hex(MappingExecutor(spec, "average")(job)) for job in jobs]
     for queue_kind in QUEUE_KINDS:
         for workers in (1, 2, 8):
             with _children(workers, spec, queue_kind=queue_kind) as pool:
@@ -269,7 +270,7 @@ class _FatalOnGenes:
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_children_reaped_after_a_broken_pool(two_proc_spec, monkeypatch, queue_kind):
     _patch_children(monkeypatch)
-    executor = _FatalOnGenes(make_mapping_executor(two_proc_spec, job_mode="subprocess"))
+    executor = _FatalOnGenes(make_mapping_executor(two_proc_spec))
     pool = make_pool(queue_kind, 2, executor)
     what = "a pool broken while its workers hold children"
     old_hook = threading.excepthook

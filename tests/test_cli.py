@@ -29,28 +29,16 @@ def ga_config_path(tmp_path):
     return str(path)
 
 
-def test_eval_one(config_path, capsys):
-    code = main(["--eval-one", "--config", config_path, "--genes", "0,1", "--scenario", "0"])
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "70.0,115.0"
-
-
-def test_eval_one_bad_scenario(config_path, capsys):
-    code = main(["--eval-one", "--config", config_path, "--genes", "0,1", "--scenario", "9"])
-    assert code == 1
-
-
 def test_eval_one_in_a_child_interpreter(config_path):
-    # the single-job interface as an external simulator would be run
+    # one mapping evaluated through `python -m sdse`, as an external tool would run it
     src = str(Path(sdse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["--eval-one", "--config", config_path, "--genes", "0,1", "--scenario", "0"]
+    argv = ["evaluate", "--config", config_path, "--genes", "0,1"]
     proc = subprocess.run(
         [sys.executable, "-m", "sdse", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    makespan, energy = (float(x) for x in proc.stdout.strip().split(","))
-    assert (makespan, energy) == (70.0, 115.0)
+    assert proc.stdout.splitlines()[0] == "s0: makespan=70.0 energy=115.0"
 
 
 @pytest.mark.parametrize(
@@ -58,10 +46,9 @@ def test_eval_one_in_a_child_interpreter(config_path):
     [
         ["evaluate", "--genes", "9,9,9"],
         ["evaluate", "--genes", "0,5"],
-        ["--eval-one", "--genes", "0", "--scenario", "0"],
-        ["--eval-one", "--genes", "0,-1", "--scenario", "0"],
+        ["evaluate", "--genes", "0,-1"],
     ],
-    ids=["evaluate-gene-count", "evaluate-gene-range", "eval-one-gene-count", "eval-one-negative"],
+    ids=["evaluate-gene-count", "evaluate-gene-range", "evaluate-negative"],
 )
 def test_genes_that_do_not_fit_are_usage_errors(config_path, capsys, monkeypatch, argv):
     import sdse.cli as cli_mod
@@ -69,8 +56,7 @@ def test_genes_that_do_not_fit_are_usage_errors(config_path, capsys, monkeypatch
     def no_evaluation(*args):
         raise AssertionError("a mapping was evaluated")
 
-    for name in ("_mapping_costs", "scenario_metrics"):
-        monkeypatch.setattr(cli_mod, name, no_evaluation)
+    monkeypatch.setattr(cli_mod, "_mapping_costs", no_evaluation)
     assert main(argv + ["--config", config_path]) == 1
     assert capsys.readouterr().err.startswith("usage error: --genes: ")
 
@@ -253,49 +239,21 @@ def test_explore_evaluates_in_forked_children_by_default(config_path, tmp_path, 
     assert 1 <= len(forks) <= 2  # at most one child per worker
 
 
-def test_explore_subprocess_job_mode(config_path, tmp_path, capsys):
-    code = main(
-        [
-            "explore",
-            "--config",
-            config_path,
-            "--generations",
-            "1",
-            "--population",
-            "3",
-            "--seed",
-            "1",
-            "--workers",
-            "2",
-            "--job-mode",
-            "subprocess",
-            "--out",
-            str(tmp_path / "sub"),
-        ]
-    )
-    assert code == 0
-    # subprocess and in-process evaluation agree
-    inproc = tmp_path / "inproc"
-    main(
-        [
-            "explore",
-            "--config",
-            config_path,
-            "--generations",
-            "1",
-            "--population",
-            "3",
-            "--seed",
-            "1",
-            "--workers",
-            "2",
-            "--out",
-            str(inproc),
-        ]
-    )
-    sub_best = json.loads((tmp_path / "sub" / "best_mapping.json").read_text())
-    in_best = json.loads((inproc / "best_mapping.json").read_text())
-    assert sub_best == in_best
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--job-mode", "inprocess", "--workers", "1"],
+        ["--eval-one", "--genes", "0,1", "--scenario", "0"],
+    ],
+    ids=["explore-job-mode", "eval-one"],
+)
+def test_removed_interfaces_are_usage_errors(config_path, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # explore's default --out
+    assert main(argv + ["--config", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
 
 
 def test_evaluate_command(config_path, capsys):
@@ -582,6 +540,7 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
         ["bench", "--repeat", "0"],
         ["bench", "--warmup", "-5"],
         ["bench", "--jobs", "0"],
+        ["bench", "--cost", "-1"],
         ["explore", "--population", "0"],
         ["explore", "--population", "1"],
         ["explore", "--generations", "-1"],
@@ -591,6 +550,7 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
         "bench-repeat",
         "bench-warmup",
         "bench-jobs",
+        "bench-cost",
         "population-0",
         "population-1",
         "generations",
@@ -599,7 +559,7 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
 def test_out_of_range_flag_is_usage_error(config_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] == "bench":
-        argv = argv + ["--cost", "0", "--out", str(out)]
+        argv = argv + ([] if "--cost" in argv else ["--cost", "0"]) + ["--out", str(out)]
     else:
         argv = argv + ["--config", config_path, "--workers", "1", "--out", str(out)]
     assert main(argv) == 1

@@ -7,7 +7,8 @@ sha256 digests of every output file and of stdout with recorded values. Any
 change to fitness values, to the GA trajectory or to subset selection shows
 up here as a changed digest. The scaling benchmark's records file, with its
 timing columns zeroed, is guarded the same way. Explore outputs must also be
-byte-identical between the two job modes.
+byte-identical whether mappings are evaluated in the forked children or in
+process.
 
 Run as a script to print the digests of the checkout on ``sys.path``:
 
@@ -23,7 +24,9 @@ import json
 import random
 from pathlib import Path
 
+import sdse.cli
 from sdse.cli import main
+from sdse.evaluator import MappingExecutor
 
 RUNS = {
     "full": ["--subset-size", "0"],
@@ -147,23 +150,26 @@ def test_explore_outputs_match_golden_digests(tmp_path):
     assert run_digests(tmp_path) == GOLDEN
 
 
-def test_explore_outputs_identical_in_both_job_modes(tmp_path):
+def test_explore_outputs_identical_in_process_and_in_children(tmp_path, monkeypatch):
     # forked evaluation children and in-process evaluation write the same bytes
     config = tmp_path / "golden.json"
     config.write_text(json.dumps(golden_config()), encoding="utf-8")
     for k in ("0", "8"):
         outputs = []
-        for job_mode in ("inprocess", "subprocess"):
-            out_dir = tmp_path / f"k{k}-{job_mode}"
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(
-                    ["explore", "--config", str(config), "--seed", "3", "--workers", "2"]
-                    + ["--generations", "20", "--population", "16", "--no-timing"]
-                    + ["--subset-size", k, "--selector-mode", "sync", "--job-mode", job_mode]
-                    + ["--out", str(out_dir)]
-                )
-            assert code == 0, (k, job_mode)
+        for where in ("in-process", "children"):
+            with monkeypatch.context() as patch:
+                if where == "in-process":
+                    patch.setattr(sdse.cli, "make_mapping_executor", MappingExecutor)
+                out_dir = tmp_path / f"k{k}-{where}"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(
+                        ["explore", "--config", str(config), "--seed", "3", "--workers", "2"]
+                        + ["--generations", "20", "--population", "16", "--no-timing"]
+                        + ["--subset-size", k, "--selector-mode", "sync"]
+                        + ["--out", str(out_dir)]
+                    )
+            assert code == 0, (k, where)
             blobs = [(out_dir / f).read_bytes() for f in OUTPUTS[:-1]]
             outputs.append(blobs + [stdout.getvalue().encode()])
         assert outputs[0] == outputs[1], k
