@@ -559,7 +559,8 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
 def test_out_of_range_flag_is_usage_error(config_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] == "bench":
-        argv = argv + ([] if "--cost" in argv else ["--cost", "0"]) + ["--out", str(out)]
+        # a case's own --cost comes later and wins
+        argv = argv[:1] + ["--cost", "0"] + argv[1:] + ["--out", str(out)]
     else:
         argv = argv + ["--config", config_path, "--workers", "1", "--out", str(out)]
     assert main(argv) == 1
