@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from typing import Sequence
@@ -109,12 +110,26 @@ def _parse_workers_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"--workers expects comma-separated integers, got '{text}'") from None
 
 
+# the flag that sets each parameter-object field, named in usage errors
+_FLAG_OF_FIELD = {
+    "generations": "--generations",
+    "population_size": "--population",
+    "workers": "--workers",
+    "jobs": "--jobs",
+    "job_cost": "--cost",
+    "repeats": "--repeat",
+    "warmup_jobs": "--warmup",
+}
+_FIELD_NAME = re.compile(r"\b(" + "|".join(_FLAG_OF_FIELD) + r")\b")
+
+
 def _from_flags(build, **values):
-    """Build a parameter object from flag values; a rejected value is a usage error."""
+    """Build a parameter object from flag values. A rejected value is a usage
+    error whose message names the flags, not the fields they set."""
     try:
         return build(**values)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(_FIELD_NAME.sub(lambda m: _FLAG_OF_FIELD[m[1]], str(exc))) from None
 
 
 def _default_workers(flag_value: int | None) -> int:
@@ -144,7 +159,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--generations", type=int, default=50)
     p.add_argument("--population", type=int, default=32)
     p.add_argument("--subset-size", type=int, default=0, help="scenario subset size k; 0 = full set")
-    p.add_argument("--selector-mode", choices=("sync", "async"), default="sync")
     p.add_argument("--selector-method", choices=("sfs", "sbs"), default="sfs")
     p.add_argument("--aggregate", choices=("average", "worst"), default="average")
     p.add_argument("--queue", choices=("lockless", "locked"), default="lockless")
@@ -201,18 +215,12 @@ def _cmd_explore(args) -> int:
     if k == 0 or k == len(spec.scenarios):
         provider = StaticSubsetProvider(spec)
     else:
-        provider = SelectorService(
-            spec, k, aggregate=args.aggregate, mode=args.selector_mode, method=args.selector_method
-        )
+        provider = SelectorService(spec, k, aggregate=args.aggregate, method=args.selector_method)
     pool = make_pool(args.queue, workers, executor)
     try:
-        provider.start()
         result = run_explorer(spec, params, provider, pool)
     finally:
-        try:
-            provider.stop()  # raises if an async selector thread failed
-        finally:
-            pool.shutdown()
+        pool.shutdown()
 
     os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.csv")

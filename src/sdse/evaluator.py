@@ -25,7 +25,7 @@ the worker threads evaluate in process (:class:`MappingExecutor`), holding
 the GIL while they do. Results travel as exact doubles, so both give
 bit-identical fitness.
 
-The synthetic job body is a SHA-256 hash chain over a fixed 64 KiB block.
+The synthetic job body is a SHA-256 hash chain over a fixed 1 MiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
 of these jobs scale across worker threads while staying bit-deterministic.
 """

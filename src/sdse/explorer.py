@@ -194,9 +194,9 @@ def run_explorer(
 
     Before each evaluation the latest subset snapshot is pulled from the
     provider; the per-generation best mappings are offered back as training
-    candidates, and in sync mode the provider runs one selection pass per
-    generation. The returned best individual is validated on the full
-    scenario set, whatever subset was used along the way.
+    candidates, and the provider runs one selection pass per generation.
+    The returned best individual is validated on the full scenario set,
+    whatever subset was used along the way.
     """
     rng = random.Random(params.seed)
     population = init_population(spec, params, rng)

@@ -15,32 +15,26 @@ column. Subsets and taus are bit-identical to scoring every candidate from
 scratch: the same values reach ``math.fsum``/``max`` and the same integer
 pair counts reach the tau-b formula.
 
-The selector runs alongside the design explorer: in sync mode one selection
-pass runs between explorer generations on the explorer's thread; in async
-mode a selector thread drains a bounded candidate queue and publishes
-snapshots. Snapshots are immutable and published by single reference
-assignment, so readers can never observe a torn (version, indices) pair. An
-exception that ends the selector thread is re-raised from ``latest()`` and
-``stop()``.
+The selector runs on the explorer's thread: one selection pass runs between
+explorer generations over the training candidates offered since the last
+one, so whole runs are reproducible. An exception raised by a pass
+propagates to the explorer's caller.
 """
 
 from __future__ import annotations
 
 import operator
-import queue
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .evaluator import Fitness, _aggregate_costs, _mapping_costs, aggregate_values, full_subset
+from .evaluator import AGGREGATES, Fitness, _aggregate_costs, _mapping_costs, aggregate_values, full_subset
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
 TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
-CANDIDATE_QUEUE_SIZE = 64  # async candidates waiting for the selector; more are dropped
 
 # (pair signs, number of tied pairs) of a reference ranking; see _tau_reference
 TauReference = tuple[list[int], int]
@@ -317,15 +311,13 @@ class StaticSubsetProvider:
 class SelectorService:
     """Runs subset selection next to the explorer and publishes snapshots.
 
-    sync mode: the explorer thread calls generation_tick() between
-    generations and exactly one selection pass runs there, which makes whole
-    runs reproducible. async mode: start() spawns a selector thread that
-    drains the candidate queue and publishes as it goes, concurrent with the
-    explorer ("running simultaneously"); candidates beyond the bounded queue
-    are dropped.
+    The explorer offers training candidates with submit_training() and calls
+    generation_tick() between generations; exactly one selection pass runs
+    there, over the candidates offered since the previous tick. Snapshot
+    versions increase by one per publication.
 
-    Snapshot versions increase by one per publication. latest() is wait-free
-    for callers on any thread.
+    ``mode`` accepts only ``"sync"``; start() and stop() do nothing. Both
+    are kept for callers written against the provider lifecycle.
     """
 
     def __init__(
@@ -336,104 +328,57 @@ class SelectorService:
         mode: str = "sync",
         method: str = "sfs",
     ):
-        if mode not in ("sync", "async"):
-            raise ValueError(f"unknown selector mode '{mode}'")
+        if mode != "sync":
+            raise ValueError(f"unknown selector mode '{mode}' (expected 'sync')")
+        if method not in SELECTION_METHODS:
+            raise ValueError(f"unknown selection method '{method}' (expected one of {SELECTION_METHODS})")
+        if aggregate not in AGGREGATES:
+            raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
         n_scen = len(spec.scenarios)
         if not 1 <= k <= n_scen:
             raise ValueError(f"k must be in 1..{n_scen}, got {k}")
         self._spec = spec
         self._k = k
         self._aggregate = aggregate
-        self._mode = mode
         self._method = method
         self._training = TrainingSet(TRAINING_CAPACITY)
-        self._queue: queue.Queue[Mapping] = queue.Queue(maxsize=CANDIDATE_QUEUE_SIZE)
-        self._version = 0
+        self._pending: list[Mapping] = []  # offered since the last pass
         self._snapshot = SubsetSnapshot(indices=full_subset(spec), version=0, tau=1.0)
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
-        self._error: Exception | None = None  # what ended the selector thread
         self.log: list[SelectorLogRow] = []
 
     def latest(self) -> SubsetSnapshot:
-        """Current snapshot; immutable, safe to read from any thread.
-
-        Raises RuntimeError once the selector thread has failed.
-        """
-        self._raise_if_failed()
+        """Current snapshot; immutable."""
         return self._snapshot
 
     def submit_training(self, mappings: Iterable[Mapping]) -> None:
-        """Offer training candidates; drops candidates when the queue is full."""
-        for m in mappings:
-            try:
-                self._queue.put_nowait(m)
-            except queue.Full:
-                break
+        """Offer training candidates to the next selection pass."""
+        self._pending.extend(mappings)
 
     def generation_tick(self) -> None:
-        """Sync mode hook: run exactly one selection pass inline."""
-        if self._mode == "sync":
-            self._run_pass()
+        """Run exactly one selection pass over the pending offers.
 
-    def start(self) -> None:
-        if self._mode != "async" or self._thread is not None:
-            return
-        self._stop_event.clear()
-        self._thread = threading.Thread(target=self._run_async, name="sdse-selector", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Join the selector thread; raises RuntimeError if it failed."""
-        if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join()
-            self._thread = None
-        self._raise_if_failed()
-
-    def _raise_if_failed(self) -> None:
-        if self._error is not None:
-            raise RuntimeError(f"selector thread failed: {self._error!r}") from self._error
-
-    def _drain_queue(self) -> list[Mapping]:
-        drained = []
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                return drained
-
-    def _run_pass(self, prefix: Sequence[Mapping] = ()) -> None:
+        Raises ValueError for an offered mapping that does not fit the spec.
+        """
         t0 = time.perf_counter_ns()
-        for mapping in list(prefix) + self._drain_queue():
+        pending, self._pending = self._pending, []
+        for mapping in pending:
             self._training.offer(self._spec, mapping, self._aggregate)
         if len(self._training) < 2:
             return
         snap = select_subset(self._spec, self._training, self._k, self._method, self._aggregate)
-        self._publish(snap.indices, snap.tau)
+        self._snapshot = SubsetSnapshot(snap.indices, self._snapshot.version + 1, snap.tau)
         self.log.append(
             SelectorLogRow(
-                version=self._version,
-                subset_indices=self._snapshot.indices,
-                tau=self._snapshot.tau,
+                version=self._snapshot.version,
+                subset_indices=snap.indices,
+                tau=snap.tau,
                 training_size=len(self._training),
                 wall_ns=time.perf_counter_ns() - t0,
             )
         )
 
-    def _publish(self, indices: tuple[int, ...], tau: float) -> None:
-        # single-publisher versioned snapshot: build the new immutable value,
-        # then swap the reference in one assignment
-        self._version += 1
-        self._snapshot = SubsetSnapshot(indices=indices, version=self._version, tau=tau)
+    def start(self) -> None:
+        pass
 
-    def _run_async(self) -> None:
-        try:
-            while not self._stop_event.is_set():
-                try:
-                    first = self._queue.get(timeout=0.02)
-                except queue.Empty:
-                    continue
-                self._run_pass(prefix=(first,))
-        except Exception as exc:  # kept for latest()/stop() to re-raise
-            self._error = exc
+    def stop(self) -> None:
+        pass

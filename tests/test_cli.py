@@ -125,8 +125,6 @@ def test_explore_deterministic_outputs(ga_config_path, tmp_path):
                 "4",
                 "--subset-size",
                 "2",
-                "--selector-mode",
-                "sync",
                 "--no-timing",
                 "--out",
                 str(out_dir),
@@ -148,33 +146,8 @@ def test_explore_deterministic_outputs(ga_config_path, tmp_path):
     assert len(history_lines) == 7 and all(line.endswith(",0") for line in history_lines[1:])
 
 
-def test_explore_async_mode_runs(ga_config_path, tmp_path):
-    code = main(
-        [
-            "explore",
-            "--config",
-            ga_config_path,
-            "--generations",
-            "4",
-            "--population",
-            "8",
-            "--seed",
-            "2",
-            "--workers",
-            "2",
-            "--subset-size",
-            "2",
-            "--selector-mode",
-            "async",
-            "--out",
-            str(tmp_path / "async"),
-        ]
-    )
-    assert code == 0
-
-
-def test_explore_async_selector_failure_exits_runtime(ga_config_path, tmp_path, monkeypatch, capsys):
-    # the selector thread dies on an out-of-range training mapping: the run
+def test_explore_selector_failure_exits_runtime(ga_config_path, tmp_path, monkeypatch, capsys):
+    # a selection pass fails on an out-of-range training mapping: the run
     # ends promptly with exit code 3 and the pool is still shut down
     import threading
 
@@ -208,18 +181,16 @@ def test_explore_async_selector_failure_exits_runtime(ga_config_path, tmp_path, 
         "2",
         "--subset-size",
         "2",
-        "--selector-mode",
-        "async",
         "--out",
-        str(tmp_path / "async-fail"),
+        str(tmp_path / "selector-fail"),
     ]
     codes = []
     runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
     runner.start()
     runner.join(timeout=60)
-    assert not runner.is_alive(), "explore hung after the selector thread failed"
+    assert not runner.is_alive(), "explore hung after the selection pass failed"
     assert codes == [3]
-    assert "selector thread failed" in capsys.readouterr().err
+    assert "gene 0 = 99 out of range" in capsys.readouterr().err
     assert len(pools) == 1 and pools[0]._closed
     assert not any(t.is_alive() for t in pools[0]._threads)
 
@@ -244,8 +215,9 @@ def test_explore_evaluates_in_forked_children_by_default(config_path, tmp_path, 
     [
         ["explore", "--job-mode", "inprocess", "--workers", "1"],
         ["--eval-one", "--genes", "0,1", "--scenario", "0"],
+        ["explore", "--selector-mode", "sync", "--subset-size", "1"],
     ],
-    ids=["explore-job-mode", "eval-one"],
+    ids=["explore-job-mode", "eval-one", "explore-selector-mode"],
 )
 def test_removed_interfaces_are_usage_errors(config_path, tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # explore's default --out
@@ -558,13 +530,15 @@ def test_workers_below_one_is_usage_error(config_path, tmp_path, monkeypatch, ca
 )
 def test_out_of_range_flag_is_usage_error(config_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
+    flag = argv[1]  # the message names the flag typed, not the field it sets
     if argv[0] == "bench":
         # a case's own --cost comes later and wins
         argv = argv[:1] + ["--cost", "0"] + argv[1:] + ["--out", str(out)]
     else:
         argv = argv + ["--config", config_path, "--workers", "1", "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
     assert not out.exists()
 
 

@@ -30,9 +30,9 @@ from sdse.evaluator import MappingExecutor
 
 RUNS = {
     "full": ["--subset-size", "0"],
-    "sfs": ["--subset-size", "3", "--selector-mode", "sync", "--selector-method", "sfs"],
-    "sbs": ["--subset-size", "3", "--selector-mode", "sync", "--selector-method", "sbs"],
-    "worst": ["--subset-size", "3", "--selector-mode", "sync", "--aggregate", "worst"],
+    "sfs": ["--subset-size", "3", "--selector-method", "sfs"],
+    "sbs": ["--subset-size", "3", "--selector-method", "sbs"],
+    "worst": ["--subset-size", "3", "--aggregate", "worst"],
 }
 OUTPUTS = ("history.csv", "selector_log.csv", "best_mapping.json", "stdout")
 
@@ -166,7 +166,7 @@ def test_explore_outputs_identical_in_process_and_in_children(tmp_path, monkeypa
                     code = main(
                         ["explore", "--config", str(config), "--seed", "3", "--workers", "2"]
                         + ["--generations", "20", "--population", "16", "--no-timing"]
-                        + ["--subset-size", k, "--selector-mode", "sync"]
+                        + ["--subset-size", k]
                         + ["--out", str(out_dir)]
                     )
             assert code == 0, (k, where)

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-import threading
 
 import pytest
 
@@ -343,76 +342,20 @@ def test_k_equals_scenario_count_version_still_advances():
     assert second.version == first.version + 1
 
 
-def test_async_publication_never_torn():
-    spec = _selection_spec()
-    service = SelectorService(spec, k=2, mode="async")
-    # drive the publisher directly: indices encode the version so a torn
-    # (version, indices) pair is detectable
-    n_versions = 4000
-    stop = threading.Event()
-    seen_bad = []
-    last_version = [0]
-
-    def reader():
-        prev = 0
-        while not stop.is_set():
-            snap = service.latest()
-            expected = ((snap.version % 3), ((snap.version + 1) % 3)) if snap.version else (0, 1, 2)
-            if snap.indices != tuple(sorted(set(expected))):
-                seen_bad.append(snap)
-            if snap.version < prev:
-                seen_bad.append(("version went backwards", snap.version, prev))
-            prev = snap.version
-
-    readers = [threading.Thread(target=reader) for _ in range(2)]
-    for t in readers:
-        t.start()
-    for v in range(1, n_versions + 1):
-        indices = tuple(sorted({v % 3, (v + 1) % 3}))
-        service._publish(indices, 1.0)
-        last_version[0] = v
-    stop.set()
-    for t in readers:
-        t.join()
-    assert seen_bad == []
-    assert service.latest().version == n_versions
-
-
-def test_async_service_runs_and_stops():
-    spec = _selection_spec()
-    service = SelectorService(spec, k=2, mode="async")
-    service.start()
-    try:
-        for genes in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            service.submit_training([Mapping(genes=genes)])
-        deadline = 5.0
-        import time
-
-        t0 = time.monotonic()
-        while service.latest().version == 0 and time.monotonic() - t0 < deadline:
-            time.sleep(0.01)
-    finally:
-        service.stop()
-    assert service.latest().version >= 1
-    assert len(service.latest().indices) == 2
-
-
-def test_async_selector_failure_is_raised_from_latest_and_stop():
-    # an out-of-range training mapping kills the selector thread; the failure
-    # must surface instead of leaving the explorer on a stale subset
-    spec = _selection_spec()
-    service = SelectorService(spec, k=1, mode="async")
-    service.start()
-    thread = service._thread
-    service.submit_training([Mapping(genes=(0, 5))])
-    thread.join(timeout=5.0)
-    assert not thread.is_alive()
-    with pytest.raises(RuntimeError, match="selector thread failed") as latest_exc:
-        service.latest()
-    assert isinstance(latest_exc.value.__cause__, ValueError)
-    with pytest.raises(RuntimeError, match="selector thread failed") as stop_exc:
-        service.stop()
-    assert isinstance(stop_exc.value.__cause__, ValueError)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(k=1, mode="async"), "selector mode"),
+        (dict(k=1, method="annealing"), "selection method"),
+        (dict(k=1, aggregate="median"), "aggregate"),
+        (dict(k=0), "k must be"),
+        (dict(k=4), "k must be"),
+    ],
+    ids=["mode-async", "method", "aggregate", "k-0", "k-above-n"],
+)
+def test_service_rejects_bad_arguments_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SelectorService(_selection_spec(), **kwargs)
 
 
 # --- reference oracles: the selection code before rows were cached -------------
