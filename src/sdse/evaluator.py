@@ -261,7 +261,7 @@ MappingJob = tuple[tuple[int, ...], tuple[int, ...]]  # (genes, scenario indices
 CHILD_JOB_TIMEOUT_S = 60.0
 
 _REQUEST = struct.Struct("<ii")  # gene count, subset size; then that many int32s
-_REPLY = struct.Struct("<BI")  # 0 = fitness, 1 = error text; payload bytes
+_REPLY = struct.Struct("<BI")  # 0 = fitness, 1 = error text; payload bytes (see _reply)
 _FITNESS = struct.Struct("<dd")  # value, energy
 
 
@@ -361,31 +361,37 @@ class EvaluationChild:
                 self._stop()
                 self._start()
                 _write_all(self._to_child, request)
-            reply = self._receive()
+            return self._receive()
         except BaseException:
             self._stop()  # a child that hung or died cannot take the next job
             raise
-        status, _ = _REPLY.unpack_from(reply)
-        if status:
-            return JobError(reply[_REPLY.size :].decode())
-        value, energy = _FITNESS.unpack_from(reply, _REPLY.size)
-        return Fitness(value=value, energy=energy)
 
-    def _receive(self) -> bytes:
-        """The child's whole reply to the job just sent, header included."""
+    def _receive(self) -> "Fitness | JobError":
+        """The child's next reply, read to its exact length, so the bytes of
+        a reply queued behind it stay in the pipe. Every reply is at least
+        as long as a fitness reply, so that first read never reaches past
+        it, and a fitness reply takes one ``os.read``."""
         deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
-        reply = b""
-        size = _REPLY.size
-        while len(reply) < size:
+        reply = self._read(_REPLY.size + _FITNESS.size, deadline)
+        status, size = _REPLY.unpack_from(reply)
+        if not status:
+            value, energy = _FITNESS.unpack_from(reply, _REPLY.size)
+            return Fitness(value=value, energy=energy)
+        if size > _FITNESS.size:
+            reply += self._read(size - _FITNESS.size, deadline)
+        return JobError(reply[_REPLY.size : _REPLY.size + size].decode())
+
+    def _read(self, n: int, deadline: float) -> bytes:
+        """Exactly n bytes from the reply pipe."""
+        data = b""
+        while len(data) < n:
             if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
                 raise TimeoutError(f"evaluation child gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
-            chunk = os.read(self._from_child, 1 << 16)
+            chunk = os.read(self._from_child, n - len(data))
             if not chunk:
                 raise ChildProcessError("evaluation child exited during the job")
-            reply += chunk
-            if len(reply) >= _REPLY.size:
-                size = _REPLY.size + _REPLY.unpack_from(reply)[1]
-        return reply
+            data += chunk
+        return data
 
     def _start(self) -> None:
         spec = self._spec
@@ -441,11 +447,16 @@ def _serve(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> Non
         ints = struct.unpack(f"<{n}i", _read_exact(requests, 4 * n))
         try:
             fitness = evaluate_mapping(spec, Mapping(genes=ints[:n_genes]), ints[n_genes:], aggregate)
-            reply = _REPLY.pack(0, _FITNESS.size) + _FITNESS.pack(fitness.value, fitness.energy)
+            reply = _reply(0, _FITNESS.pack(fitness.value, fitness.energy))
         except Exception as exc:
-            text = f"{type(exc).__name__}: {exc}".encode()
-            reply = _REPLY.pack(1, len(text)) + text
+            reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
         _write_all(replies, reply)
+
+
+def _reply(status: int, payload: bytes) -> bytes:
+    """One reply: the header, then the payload padded with zero bytes to at
+    least a fitness payload's length (the header keeps the true length)."""
+    return _REPLY.pack(status, len(payload)) + payload.ljust(_FITNESS.size, b"\0")
 
 
 def _read_exact(fd: int, n: int) -> bytes:

@@ -8,12 +8,16 @@ default; backward selection (SBS) is available behind a flag.
 A selection pass does no repeated work. Each training entry keeps its
 per-scenario makespan row, computed once from the same scenario costs as its
 full-set fitness, so a pass only evaluates mappings it has not seen. The
-pair signs of the full-set ranking are prepared once per pass and every
-candidate subset is scored against them. SFS keeps the already-selected
-values of each training mapping, so a candidate only appends its own
-column. Subsets and taus are bit-identical to scoring every candidate from
-scratch: the same values reach ``math.fsum``/``max`` and the same integer
-pair counts reach the tau-b formula.
+full-set ranking is prepared once per pass, as pair signs and, when it has
+no tied pair, as ranks, and every candidate subset is scored against it: a
+candidate whose scores have no tied pair and no NaN is counted by rank
+inversions after one sort, any other by pair signs. SFS keeps the
+already-selected values of each training mapping ("average") or their
+running max ("worst"), so a candidate only adds its own column, and a step
+stops at the first candidate with tau 1.0. Subsets and taus are
+bit-identical to scoring every candidate from scratch: the same values
+reach ``math.fsum``/``max`` and the same integer pair counts reach the
+tau-b formula.
 
 The selector runs on the explorer's thread: one selection pass runs between
 explorer generations over the training candidates offered since the last
@@ -28,6 +32,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
+from math import fsum
 from typing import Iterable, Sequence
 
 from .evaluator import AGGREGATES, Fitness, _aggregate_costs, _mapping_costs, aggregate_values, full_subset
@@ -36,8 +41,9 @@ from .model import Mapping, SystemSpec
 SELECTION_METHODS = ("sfs", "sbs")
 TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
 
-# (pair signs, number of tied pairs) of a reference ranking; see _tau_reference
-TauReference = tuple[list[int], int]
+# (pair signs, number of tied pairs, rank of each item or None) of a
+# reference ranking; see _tau_reference
+TauReference = tuple[list[int], int, list[int] | None]
 
 
 def _pair_signs(scores: Sequence[float]) -> list[int]:
@@ -46,19 +52,49 @@ def _pair_signs(scores: Sequence[float]) -> list[int]:
 
 
 def _tau_reference(scores_b: Sequence[float]) -> TauReference:
-    """Prepare a reference ranking once for many _tau_b calls against it."""
+    """Prepare a reference ranking once for many _tau_b calls against it.
+
+    A reference of at least two items with no tied pair (so no NaN either)
+    also gets each item's rank in ascending order, which enables the rank
+    path of :func:`_tau_b`.
+    """
     signs = _pair_signs(scores_b)
-    return signs, signs.count(0)
+    ties = signs.count(0)
+    ranks = None
+    if signs and not ties:
+        ranks = [0] * len(scores_b)
+        for rank, i in enumerate(sorted(range(len(scores_b)), key=scores_b.__getitem__)):
+            ranks[i] = rank
+    return signs, ties, ranks
 
 
 def _tau_b(scores_a: Sequence[float], reference: TauReference) -> float:
     """Kendall tau-b of ``scores_a`` against a prepared reference ranking.
 
-    The product of two pair signs is +1 for a concordant pair, -1 for a
-    discordant one and 0 when either side ties, so their sum is the exact
-    integer concordant - discordant.
+    Rank path, taken when the reference has ranks and ``scores_a`` has no
+    tied pair and no NaN (its sorted values strictly increase): walking the
+    items in ascending ``scores_a`` order, a pair is discordant exactly when
+    an earlier item has the higher reference rank. A bitmask of the ranks
+    seen so far counts those inversions, and concordant - discordant is
+    ``n0 - 2 * inversions`` over all ``n0`` pairs.
+
+    Pair-sign path, for every other input: the product of two pair signs is
+    +1 for a concordant pair, -1 for a discordant one and 0 when either side
+    ties, so their sum is the exact integer concordant - discordant.
+
+    Both paths divide the same integer by the same float expression of the
+    tie counts, so they give the same tau to the bit.
     """
-    signs_b, ties_b = reference
+    signs_b, ties_b, ranks_b = reference
+    if ranks_b is not None:
+        ordered = sorted(scores_a)
+        if all(map(operator.lt, ordered, ordered[1:])):
+            inversions = seen = 0
+            for rank in map(ranks_b.__getitem__, sorted(range(len(scores_a)), key=scores_a.__getitem__)):
+                inversions += (seen >> rank).bit_count()
+                seen |= 1 << rank
+            n0 = len(signs_b)
+            return (n0 - 2 * inversions) / ((n0 * n0) ** 0.5)
     signs_a = _pair_signs(scores_a)
     n0 = len(signs_a)
     ties_a = signs_a.count(0)
@@ -190,12 +226,14 @@ def _makespan_matrix(spec: SystemSpec, training: TrainingSet) -> list[tuple[floa
     return [entry.row for entry in entries]
 
 
-def _check_selection_args(spec: SystemSpec, training: TrainingSet, k: int) -> None:
+def _check_selection_args(spec: SystemSpec, training: TrainingSet, k: int, aggregate: str) -> None:
     n_scen = len(spec.scenarios)
     if not 1 <= k <= n_scen:
         raise ValueError(f"k must be in 1..{n_scen}, got {k}")
     if len(training) < 2:
         raise ValueError("training set must contain at least 2 mappings")
+    if aggregate not in AGGREGATES:
+        raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
 
 
 def select_subset_sfs(
@@ -205,30 +243,42 @@ def select_subset_sfs(
 
     At each step the scenario whose addition maximizes the tau between the
     subset ranking and the full-set ranking of the training mappings is
-    added; ties resolve to the lowest scenario index. The returned snapshot
+    added; ties resolve to the lowest scenario index, so a step stops
+    scanning at the first candidate with tau 1.0. The returned snapshot
     carries version 0 — the publisher stamps the real version.
     """
-    _check_selection_args(spec, training, k)
+    _check_selection_args(spec, training, k, aggregate)
     reference = _tau_reference([f.value for f in training.fitnesses])
     columns = list(zip(*_makespan_matrix(spec, training)))
-    # per training mapping: its values on the selected scenarios, in selection order
+    average = aggregate == "average"
+    # per training mapping: its values on the selected scenarios in selection
+    # order ("average"), or their running max ("worst")
     chosen: list[list[float]] = [[] for _ in range(len(training))]
+    peaks: Sequence[float] = ()
     selected: list[int] = []
     remaining = list(range(len(spec.scenarios)))
     achieved = 0.0
-    for _ in range(k):
+    for m in range(1, k + 1):
         best_idx = None
         best_tau = -2.0
         for s in remaining:
-            scores = [aggregate_values(vals + [x], aggregate) for vals, x in zip(chosen, columns[s])]
+            if average:
+                scores = [fsum(vals + [x]) / m for vals, x in zip(chosen, columns[s])]
+            else:
+                scores = list(map(max, peaks, columns[s])) if peaks else columns[s]
             tau = _tau_b(scores, reference)
             if tau > best_tau:
                 best_tau = tau
                 best_idx = s
+                if tau == 1.0:  # no later candidate can beat it
+                    break
         selected.append(best_idx)
         remaining.remove(best_idx)
-        for vals, x in zip(chosen, columns[best_idx]):
-            vals.append(x)
+        if average:
+            for vals, x in zip(chosen, columns[best_idx]):
+                vals.append(x)
+        else:
+            peaks = list(map(max, peaks, columns[best_idx])) if peaks else columns[best_idx]
         achieved = best_tau
     return SubsetSnapshot(indices=tuple(sorted(selected)), version=0, tau=achieved)
 
@@ -240,7 +290,7 @@ def select_subset_sbs(
     scenario whose removal maximizes tau until k remain. Ties resolve to
     removing the highest index, keeping the retained subset lexicographically
     smallest."""
-    _check_selection_args(spec, training, k)
+    _check_selection_args(spec, training, k, aggregate)
     reference = _tau_reference([f.value for f in training.fitnesses])
     # per training mapping: its values on the selected scenarios, in index order
     kept = [list(row) for row in _makespan_matrix(spec, training)]

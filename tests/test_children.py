@@ -10,7 +10,9 @@ the fork inherits the patch, so the child runs it.
 import contextlib
 import os
 import random
+import select
 import signal
+import struct
 import threading
 import time
 
@@ -85,6 +87,52 @@ def test_child_job_errors_read_like_in_process_ones(two_proc_spec):
     assert got[3] == JobError("ValueError: gene 0 = -1 out of range (processors: 2)")
     assert got[4] == JobError("ValueError: empty scenario subset")
     assert got[-1] == evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,))
+
+
+def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch):
+    # replies queued in one pipe, an error reply shorter than a fitness reply
+    # among them, come back one per _receive and in order
+    def short_error(spec, mapping, subset, aggregate):
+        if mapping.genes == (1, 1):
+            raise KeyError(1)
+        return evaluate_mapping(spec, mapping, subset, aggregate)
+
+    monkeypatch.setattr(evaluator, "evaluate_mapping", short_error)
+    jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0,))]
+    requests, to_child = os.pipe()
+    from_child, replies = os.pipe()
+    for genes, subset in jobs:
+        os.write(to_child, struct.pack(f"<ii{len(genes) + len(subset)}i", len(genes), len(subset), *genes, *subset))
+    os.close(to_child)
+    evaluator._serve(two_proc_spec, "average", requests, replies)  # answers all four, then sees EOF
+    os.close(requests)
+    os.close(replies)
+    reads = []
+    real_read = os.read
+
+    def counting_read(fd, n):
+        reads.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(os, "read", counting_read)
+    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    session._from_child = from_child
+    session._poll = select.poll()
+    session._poll.register(from_child, select.POLLIN)
+    try:
+        got = [session._receive() for _ in jobs]
+        assert real_read(from_child, 1) == b""  # nothing left behind
+    finally:
+        os.close(from_child)
+    assert got == [
+        evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,)),
+        JobError("KeyError: 1"),
+        JobError("ValueError: mapping has 1 genes, expected 2"),
+        evaluate_mapping(two_proc_spec, Mapping(genes=(1, 0)), (0,)),
+    ]
+    fitness_read = evaluator._REPLY.size + evaluator._FITNESS.size
+    assert reads[0] == reads[-1] == fitness_read and reads.count(fitness_read) == 4
+    assert len(reads) == 5  # one more read for the long error text only
 
 
 def test_results_identical_at_any_worker_count_and_queue_kind():

@@ -30,6 +30,7 @@ from sdse.selector import (
 )
 
 from conftest import random_dyadic_spec
+from test_evaluator import random_float_spec
 
 
 # --- kendall tau -------------------------------------------------------------
@@ -278,6 +279,9 @@ def test_select_subset_validations():
         select_subset_sfs(spec, _training_over(spec, [(0, 0)]), k=1)
     with pytest.raises(ValueError, match="method"):
         select_subset(spec, ts, k=1, method="annealing")
+    for method in SELECTION_METHODS:
+        with pytest.raises(ValueError, match="unknown aggregate 'median'"):
+            select_subset(spec, ts, k=1, method=method, aggregate="median")
 
 
 # --- provider / service -------------------------------------------------------
@@ -496,6 +500,127 @@ def test_tau_kernel_matches_oracle_bit_for_bit():
         expected = oracle_kendall_tau(a, b).hex()
         assert kendall_tau(a, b).hex() == expected, (a, b)
         assert _tau_b(a, _tau_reference(b)).hex() == expected, (a, b)
+
+
+def _counting_pair_signs(monkeypatch):
+    """Counts the pair-sign vectors built, which only the fallback path of
+    ``_tau_b`` builds."""
+    calls = [0]
+    real = selector_mod._pair_signs
+
+    def counting(scores):
+        calls[0] += 1
+        return real(scores)
+
+    monkeypatch.setattr(selector_mod, "_pair_signs", counting)
+    return calls
+
+
+def _tie_free(scores):
+    return all(x < y or x > y for x, y in itertools.combinations(scores, 2))
+
+
+def test_tau_rank_path_matches_oracle_bit_for_bit(monkeypatch):
+    rng = random.Random(12)
+    nan = math.nan
+    tie_free = []
+    for n in range(2, 17):
+        for _ in range(200):
+            pool = [rng.uniform(-50.0, 50.0) for _ in range(n)] + [math.inf, -math.inf, 7, 0.0]
+            a, b = rng.sample(pool, n), rng.sample(pool, n)
+            if len(set(a)) == n and len(set(b)) == n:
+                tie_free.append((a, b))
+    one_side_ties = []
+    for a, b in tie_free[::7]:
+        tied = list(a)
+        tied[-1] = tied[0]
+        one_side_ties += [(tied, b), (b, tied)]
+    special = [
+        ([0.0, -0.0, 1.0], [1.0, 2.0, 3.0]),
+        ([-0.0, 1, 2.5, math.inf], [0, 3, -math.inf, 2.5]),
+        ([0, 1, 2], [0.0, 1.0, 2.0]),
+        ([3, 1, 2], [-0.0, math.inf, 2.0]),
+        ([math.inf, 1.0, math.inf], [1.0, 2.0, 3.0]),
+        ([float("nan"), float("nan"), 1.0], [1.0, 2.0, 3.0]),  # distinct NaN objects
+        ([nan, nan, 1.0], [3.0, 2.0, 1.0]),  # one NaN object repeated
+        ([nan, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0]),
+        ([1.0, 2.0, 3.0, nan], [1.0, 2.0, 3.0, 4.0]),
+    ]
+    special += [(b, a) for a, b in special]
+    pair_signs = _counting_pair_signs(monkeypatch)
+    for a, b in tie_free + one_side_ties + special:
+        expected = oracle_kendall_tau(a, b).hex()
+        assert kendall_tau(a, b).hex() == expected, (a, b)
+        reference = _tau_reference(b)
+        before = pair_signs[0]
+        assert _tau_b(a, reference).hex() == expected, (a, b)
+        ranked = _tie_free(a) and _tie_free(b)
+        assert pair_signs[0] == before + (not ranked), (a, b)  # the rank path builds none
+    assert len(tie_free) > 2000 and all(_tie_free(a) and _tie_free(b) for a, b in tie_free)
+
+
+def _tie_free_training(spec, rng, size, aggregate):
+    """``size`` distinct mappings whose full-set fitness values all differ."""
+    ts = TrainingSet(capacity=size)
+    full = full_subset(spec)
+    values = set()
+    for _ in range(50 * size):
+        m = random_mapping(spec, rng)
+        fit = evaluate_mapping(spec, m, full, aggregate)
+        if m not in ts and fit.value not in values:
+            ts.add(m, fit)
+            values.add(fit.value)
+            if len(ts) == size:
+                return ts
+    return None
+
+
+def test_selection_with_tie_free_fitness_matches_oracle(monkeypatch):
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 6:
+        spec, _ = random_float_spec(rng)
+        if len(spec.scenarios) < 3:
+            continue
+        n = len(spec.scenarios)
+        sets = {aggregate: _tie_free_training(spec, rng, 16, aggregate) for aggregate in AGGREGATES}
+        if None in sets.values():
+            continue
+        checked += 1
+        for aggregate, ts in sets.items():
+            assert _tau_reference([f.value for f in ts.fitnesses])[2] is not None
+            for k in range(1, n + 1):
+                sfs = select_subset_sfs(spec, ts, k, aggregate)
+                assert _snap_key(sfs.indices, sfs.tau) == _snap_key(*oracle_sfs(spec, ts, k, aggregate))
+                sbs = select_subset_sbs(spec, ts, k, aggregate)
+                assert _snap_key(sbs.indices, sbs.tau) == _snap_key(*oracle_sbs(spec, ts, k, aggregate))
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+def test_sfs_step_stops_at_a_perfect_candidate(monkeypatch, aggregate):
+    # the full-set fitness is scenario 1's makespan, so at step one scenario 1
+    # alone reaches tau 1.0 and scenario 2 is never scored
+    spec = _selection_spec()
+    ts = TrainingSet()
+    for genes in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        m = Mapping(genes=genes)
+        ts.add(m, evaluate_mapping(spec, m, (1,), aggregate))
+    calls = [0]
+    real = selector_mod._tau_b
+
+    def counting(scores, reference):
+        calls[0] += 1
+        return real(scores, reference)
+
+    monkeypatch.setattr(selector_mod, "_tau_b", counting)
+    snap = select_subset_sfs(spec, ts, 1, aggregate)
+    assert _snap_key(snap.indices, snap.tau) == _snap_key(*oracle_sfs(spec, ts, 1, aggregate))
+    assert snap.indices == (1,) and snap.tau == 1.0
+    assert calls[0] == 2  # a full scan scores all 3 candidates
+    calls[0] = 0
+    snap = select_subset_sbs(spec, ts, 1, aggregate)
+    assert _snap_key(snap.indices, snap.tau) == _snap_key(*oracle_sbs(spec, ts, 1, aggregate))
+    assert calls[0] == 1 + 3 + 2  # SBS keeps its full scan: ties go to the higher index
 
 
 # --- cached makespan rows -------------------------------------------------------
