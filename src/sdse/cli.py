@@ -220,6 +220,7 @@ def _cmd_explore(args) -> int:
     try:
         result = run_explorer(spec, params, provider, pool)
     finally:
+        provider.stop()
         pool.shutdown()
 
     os.makedirs(args.out, exist_ok=True)

@@ -23,7 +23,8 @@ pool's ``worker_session`` hook: the thread only forwards the job and waits
 on a pipe without the GIL, so N workers evaluate on N cores. Without fork,
 the worker threads evaluate in process (:class:`MappingExecutor`), holding
 the GIL while they do. Results travel as exact doubles, so both give
-bit-identical fitness.
+bit-identical fitness. The child plumbing (:class:`ForkedChild`) also
+serves the subset selector's helper process.
 
 The synthetic job body is a SHA-256 hash chain over a fixed 1 MiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
@@ -307,89 +308,75 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
     return MappingExecutor(spec, aggregate)
 
 
-class EvaluationChild:
-    """One pool worker's session: a forked child process that evaluates the
-    worker's jobs, one at a time.
+class ForkedChild:
+    """A persistent forked child process that answers requests over a pair
+    of pipes, one at a time: the plumbing of :class:`EvaluationChild` and of
+    the subset selector's helper.
 
-    Lifecycle: the child is forked on the first job, after the spec has been
-    compiled here, so it inherits the compiled form. It closes every
-    inherited descriptor except its two pipe ends, runs only :func:`_serve`
+    Lifecycle: the child is forked by the first request, after the spec has
+    been compiled here, so it inherits the compiled form. It closes every
+    inherited descriptor except its two pipe ends, runs only :meth:`_serve`
     and ends with ``os._exit``, so it never returns into the caller's stack.
-    The serve loop takes no lock, imports nothing and does no I/O but its
-    pipes, so a lock another thread held at the fork cannot block it.
-    A job goes to the child as int32s (gene count, subset size, genes,
-    subset) and comes back as the exact doubles (value, energy), or as the
-    ``"Type: message"`` text of the exception the child's evaluation raised,
-    which becomes the same :class:`JobError` in-process evaluation gives.
+    A serve loop takes no lock, imports nothing and does no I/O but its
+    pipes, so a lock another thread held at the fork cannot block it. Each
+    reply is a ``_REPLY`` header and its payload (see :func:`_reply`), read
+    to its exact length within :data:`CHILD_JOB_TIMEOUT_S`.
 
-    Failures: a child found dead when a job is sent is replaced and the job
-    goes to the new child. A child that dies during a job, or takes longer
-    than :data:`CHILD_JOB_TIMEOUT_S`, is killed and reaped, and its job
-    raises (the pool records a ``JobError``); the next job forks a new
-    child. Leaving the session closes the pipes, kills the child and reaps
-    it.
+    Failures: a child found dead when a request is sent is replaced and the
+    request goes to the new child. A reply that does not come in time, or a
+    child that exits instead, raises; the caller then calls :meth:`stop`,
+    and the next request forks a new child. :meth:`stop` closes the pipes,
+    kills the child and reaps it.
     """
 
-    def __init__(self, spec: SystemSpec, aggregate: str):
+    _what = "child"  # names the child in the errors a reply raises
+    _spin_s = 0.0  # how long a wait for a reply busy-polls before it blocks
+
+    def __init__(self, spec: SystemSpec):
         self._spec = spec
-        self._aggregate = aggregate
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
 
-    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
-        return self.evaluate
+    def _serve(self, requests: int, replies: int) -> None:
+        """The child's serve loop: answer requests until end of file."""
+        raise NotImplementedError
 
-    def __exit__(self, *exc_info) -> None:
-        self._stop()
-
-    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
-        genes, subset = job
-        try:
-            n_genes, n_subset = len(genes), len(subset)
-            request = struct.pack(f"<ii{n_genes + n_subset}i", n_genes, n_subset, *genes, *subset)
-        except struct.error:
-            # no int32 holds it, so no spec accepts it: evaluating here raises
-            # the error the job gives anywhere
-            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
+    def _send(self, request: bytes) -> None:
+        """Write one request, forking the child first if none runs."""
         if not self._pid:
             self._start()
         try:
-            try:
-                _write_all(self._to_child, request)
-            except BrokenPipeError:  # the child died between jobs
-                self._stop()
-                self._start()
-                _write_all(self._to_child, request)
-            return self._receive()
-        except BaseException:
-            self._stop()  # a child that hung or died cannot take the next job
-            raise
+            _write_all(self._to_child, request)
+        except BrokenPipeError:  # the child died between requests
+            self.stop()
+            self._start()
+            _write_all(self._to_child, request)
 
-    def _receive(self) -> "Fitness | JobError":
-        """The child's next reply, read to its exact length, so the bytes of
-        a reply queued behind it stay in the pipe. Every reply is at least
-        as long as a fitness reply, so that first read never reaches past
-        it, and a fitness reply takes one ``os.read``."""
+    def _read_reply(self) -> tuple[int, bytes]:
+        """The child's next reply as (status, payload), read to its exact
+        length, so the bytes of a reply queued behind it stay in the pipe.
+        Every reply is at least as long as a fitness reply, so that first
+        read never reaches past it, and a fitness reply takes one
+        ``os.read``."""
         deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
         reply = self._read(_REPLY.size + _FITNESS.size, deadline)
         status, size = _REPLY.unpack_from(reply)
-        if not status:
-            value, energy = _FITNESS.unpack_from(reply, _REPLY.size)
-            return Fitness(value=value, energy=energy)
         if size > _FITNESS.size:
             reply += self._read(size - _FITNESS.size, deadline)
-        return JobError(reply[_REPLY.size : _REPLY.size + size].decode())
+        return status, reply[_REPLY.size : _REPLY.size + size]
 
     def _read(self, n: int, deadline: float) -> bytes:
         """Exactly n bytes from the reply pipe."""
+        if self._spin_s:
+            _spin(self._poll, self._spin_s)
         data = b""
         while len(data) < n:
             if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
-                raise TimeoutError(f"evaluation child gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
+                raise TimeoutError(f"{self._what} gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
             chunk = os.read(self._from_child, n - len(data))
             if not chunk:
-                raise ChildProcessError("evaluation child exited during the job")
+                raise ChildProcessError(f"{self._what} exited during the job")
             data += chunk
         return data
 
@@ -405,14 +392,14 @@ class EvaluationChild:
                 os.close(fd)
             raise
         if pid == 0:
-            _child_main(spec, self._aggregate, requests, replies)
+            _child_main(self._serve, requests, replies)
         os.close(requests)
         os.close(replies)
         self._pid, self._to_child, self._from_child = pid, to_child, from_child
         self._poll = select.poll()
         self._poll.register(from_child, select.POLLIN)
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         """Close the pipes, kill the child and reap it. Idempotent."""
         if not self._pid:
             return
@@ -425,15 +412,67 @@ class EvaluationChild:
             os.waitpid(pid, 0)
 
 
-def _child_main(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> NoReturn:
-    """The whole life of a forked evaluation child."""
+class EvaluationChild(ForkedChild):
+    """One pool worker's session: a forked child (:class:`ForkedChild`)
+    that evaluates the worker's jobs, one at a time.
+
+    A job goes to the child as int32s (gene count, subset size, genes,
+    subset) and comes back as the exact doubles (value, energy), or as the
+    ``"Type: message"`` text of the exception the child's evaluation raised,
+    which becomes the same :class:`JobError` in-process evaluation gives.
+    A job whose child dies or takes longer than :data:`CHILD_JOB_TIMEOUT_S`
+    raises (the pool records a ``JobError``), and the next job forks a new
+    child. Leaving the session stops the child.
+    """
+
+    _what = "evaluation child"
+
+    def __init__(self, spec: SystemSpec, aggregate: str):
+        super().__init__(spec)
+        self._aggregate = aggregate
+
+    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
+        return self.evaluate
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
+        genes, subset = job
+        try:
+            n_genes, n_subset = len(genes), len(subset)
+            request = struct.pack(f"<ii{n_genes + n_subset}i", n_genes, n_subset, *genes, *subset)
+        except struct.error:
+            # no int32 holds it, so no spec accepts it: evaluating here raises
+            # the error the job gives anywhere
+            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
+        try:
+            self._send(request)
+            return self._receive()
+        except BaseException:
+            self.stop()  # a child that hung or died cannot take the next job
+            raise
+
+    def _receive(self) -> "Fitness | JobError":
+        status, payload = self._read_reply()
+        if status:
+            return JobError(payload.decode())
+        value, energy = _FITNESS.unpack(payload)
+        return Fitness(value=value, energy=energy)
+
+    def _serve(self, requests: int, replies: int) -> None:
+        _serve(self._spec, self._aggregate, requests, replies)
+
+
+def _child_main(serve: Callable[[int, int], None], requests: int, replies: int) -> NoReturn:
+    """The whole life of a forked child."""
     code = 1
     try:
         low, high = sorted((requests, replies))
         os.closerange(0, low)
         os.closerange(low + 1, high)
         os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-        _serve(spec, aggregate, requests, replies)
+        serve(requests, replies)
         code = 0
     finally:
         os._exit(code)
@@ -451,6 +490,15 @@ def _serve(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> Non
         except Exception as exc:
             reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
         _write_all(replies, reply)
+
+
+def _spin(poll, seconds: float) -> None:
+    """Busy-poll until the watched pipe is readable or ``seconds`` pass:
+    data that comes that soon is taken without the wake-up latency of a
+    blocking wait."""
+    end = time.perf_counter() + seconds
+    while not poll.poll(0) and time.perf_counter() < end:
+        pass
 
 
 def _reply(status: int, payload: bytes) -> bytes:

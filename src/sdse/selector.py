@@ -9,41 +9,64 @@ A selection pass does no repeated work. Each training entry keeps its
 per-scenario makespan row, computed once from the same scenario costs as its
 full-set fitness, so a pass only evaluates mappings it has not seen. The
 full-set ranking is prepared once per pass, as pair signs and, when it has
-no tied pair, as ranks, and every candidate subset is scored against it: a
-candidate whose scores have no tied pair and no NaN is counted by rank
-inversions after one sort, any other by pair signs. SFS keeps the
-already-selected values of each training mapping ("average") or their
-running max ("worst"), so a candidate only adds its own column, and a step
-stops at the first candidate with tau 1.0. Subsets and taus are
-bit-identical to scoring every candidate from scratch: the same values
-reach ``math.fsum``/``max`` and the same integer pair counts reach the
-tau-b formula.
+no tied pair, as ranks, and every candidate subset is scored against it:
+against ranks, a candidate whose scores have no NaN is counted by rank
+inversions after one stable sort, its tied pairs counted apart; any other
+by pair signs. SFS keeps the already-selected values of each training
+mapping ("average") or their running max ("worst"), so a candidate only
+adds its own column, and a step stops at the first candidate with tau 1.0.
+Subsets and taus are bit-identical to scoring every candidate from scratch:
+the same values reach ``math.fsum``/``max`` and the same integer pair
+counts reach the tau-b formula.
 
 The selector runs on the explorer's thread: one selection pass runs between
 explorer generations over the training candidates offered since the last
 one, so whole runs are reproducible. An exception raised by a pass
-propagates to the explorer's caller.
+propagates to the explorer's caller. Where a second CPU is free, the
+service splits each pass with one forked selector helper
+(:class:`_SelectionHelper`): the helper evaluates half of the new training
+mappings and scores half of each step's candidates with the same code, and
+exact doubles carry its results back, so a split pass publishes exactly
+what a serial one does.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import operator
+import os
+import select
+import struct
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .evaluator import AGGREGATES, Fitness, _aggregate_costs, _mapping_costs, aggregate_values, full_subset
+from .evaluator import (
+    AGGREGATES,
+    Fitness,
+    ForkedChild,
+    _aggregate_costs,
+    _mapping_costs,
+    _read_exact,
+    _reply,
+    _spin,
+    _write_all,
+    aggregate_values,
+    full_subset,
+)
 from .model import Mapping, SystemSpec
 
 SELECTION_METHODS = ("sfs", "sbs")
 TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
 
-# (pair signs, number of tied pairs, rank of each item or None) of a
-# reference ranking; see _tau_reference
-TauReference = tuple[list[int], int, list[int] | None]
+# (pair signs, number of tied pairs, rank of each item or None, items in
+# ascending rank order or None) of a reference ranking; see _tau_reference
+TauReference = tuple[list[int], int, list[int] | None, list[int] | None]
 
 
 def _pair_signs(scores: Sequence[float]) -> list[int]:
@@ -55,28 +78,45 @@ def _tau_reference(scores_b: Sequence[float]) -> TauReference:
     """Prepare a reference ranking once for many _tau_b calls against it.
 
     A reference of at least two items with no tied pair (so no NaN either)
-    also gets each item's rank in ascending order, which enables the rank
-    path of :func:`_tau_b`.
+    also gets each item's rank in ascending order and the items in that
+    order, which enable the rank path of :func:`_tau_b`.
     """
     signs = _pair_signs(scores_b)
     ties = signs.count(0)
-    ranks = None
+    ranks = order = None
     if signs and not ties:
+        order = sorted(range(len(scores_b)), key=scores_b.__getitem__)
         ranks = [0] * len(scores_b)
-        for rank, i in enumerate(sorted(range(len(scores_b)), key=scores_b.__getitem__)):
+        for rank, i in enumerate(order):
             ranks[i] = rank
-    return signs, ties, ranks
+    return signs, ties, ranks, order
+
+
+def _tied_pairs(ordered: Sequence[float]) -> int | None:
+    """Tied pairs among sorted values; None if they hold a NaN, which shows
+    as a pair of neighbours that does not ascend."""
+    if all(map(operator.lt, ordered, ordered[1:])):
+        return 0
+    if not all(map(operator.le, ordered, ordered[1:])):
+        return None
+    ties = run = 0
+    for x, y in zip(ordered, ordered[1:]):
+        run = run + 1 if x == y else 0
+        ties += run  # the pairs this value ties with the equal values before it
+    return ties
 
 
 def _tau_b(scores_a: Sequence[float], reference: TauReference) -> float:
     """Kendall tau-b of ``scores_a`` against a prepared reference ranking.
 
     Rank path, taken when the reference has ranks and ``scores_a`` has no
-    tied pair and no NaN (its sorted values strictly increase): walking the
-    items in ascending ``scores_a`` order, a pair is discordant exactly when
-    an earlier item has the higher reference rank. A bitmask of the ranks
-    seen so far counts those inversions, and concordant - discordant is
-    ``n0 - 2 * inversions`` over all ``n0`` pairs.
+    NaN (its sorted values never decrease): the items are sorted by
+    ``scores_a``, stably from reference order, so tied items stay in
+    ascending reference rank. Walking them in that order, a pair is
+    discordant exactly when an earlier item has the higher reference rank;
+    a tied pair never is. A bitmask of the ranks seen so far counts those
+    inversions, and concordant - discordant is ``n0 - ties - 2 * inversions``
+    over all ``n0`` pairs, ``ties`` of them tied in ``scores_a``.
 
     Pair-sign path, for every other input: the product of two pair signs is
     +1 for a concordant pair, -1 for a discordant one and 0 when either side
@@ -85,16 +125,16 @@ def _tau_b(scores_a: Sequence[float], reference: TauReference) -> float:
     Both paths divide the same integer by the same float expression of the
     tie counts, so they give the same tau to the bit.
     """
-    signs_b, ties_b, ranks_b = reference
-    if ranks_b is not None:
-        ordered = sorted(scores_a)
-        if all(map(operator.lt, ordered, ordered[1:])):
-            inversions = seen = 0
-            for rank in map(ranks_b.__getitem__, sorted(range(len(scores_a)), key=scores_a.__getitem__)):
-                inversions += (seen >> rank).bit_count()
-                seen |= 1 << rank
-            n0 = len(signs_b)
-            return (n0 - 2 * inversions) / ((n0 * n0) ** 0.5)
+    signs_b, ties_b, ranks_b, order_b = reference
+    if ranks_b is not None and (ties := _tied_pairs(sorted(scores_a))) is not None:
+        n0 = len(signs_b)
+        if ties == n0:
+            return 0.0  # a constant ranking carries no order information
+        inversions = seen = 0
+        for rank in map(ranks_b.__getitem__, sorted(order_b, key=scores_a.__getitem__)):
+            inversions += (seen >> rank).bit_count()
+            seen |= 1 << rank
+        return (n0 - ties - 2 * inversions) / (((n0 - ties) * n0) ** 0.5)
     signs_a = _pair_signs(scores_a)
     n0 = len(signs_a)
     ties_a = signs_a.count(0)
@@ -158,15 +198,24 @@ class TrainingSet:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def offer(self, spec: SystemSpec, mapping: Mapping, aggregate: str) -> None:
+    def offer(
+        self,
+        spec: SystemSpec,
+        mapping: Mapping,
+        aggregate: str,
+        costs: Sequence[tuple[float, float]] | None = None,
+    ) -> None:
         """Add a mapping with its full-set fitness and makespan row, both
         from one evaluation, or only refresh its recency if it is known.
+        ``costs``, if given, are the mapping's per-scenario (makespan,
+        energy) on the full set, already evaluated.
 
         Raises ValueError for a mapping that does not fit the spec.
         """
         if self.touch(mapping):
             return
-        costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
+        if costs is None:
+            costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
         self.add(
             mapping,
             _aggregate_costs(costs, aggregate),
@@ -236,6 +285,148 @@ def _check_selection_args(spec: SystemSpec, training: TrainingSet, k: int, aggre
         raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
 
 
+class _ForwardSearch:
+    """State of one greedy forward selection (SFS) over the makespan rows
+    and full-set fitness values of a training set.
+
+    A step's candidates are the scenarios not yet selected, in index order;
+    the step adds the first candidate with the highest tau, so ties resolve
+    to the lowest scenario index. A scan ends at the first candidate with
+    tau 1.0, as no later candidate can beat it.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[float]], values: Sequence[float], aggregate: str, k: int):
+        self.rows, self.values, self.k = rows, values, k
+        self.reference = _tau_reference(values)
+        self.columns = list(zip(*rows))
+        self.average = aggregate == "average"
+        # per training mapping: its values on the selected scenarios in
+        # selection order ("average"), or their running max ("worst")
+        self.chosen: list[list[float]] = [[] for _ in rows]
+        self.peaks: Sequence[float] = ()
+        self.taken: list[int] = []  # the selected scenarios, in selection order
+        self.remaining = list(range(len(self.columns)))
+
+    def start_tau(self) -> float:
+        return 0.0  # replaced by the first step's, as k >= 1
+
+    def steps_left(self) -> int:
+        return self.k - len(self.taken)
+
+    def candidates(self) -> list[int]:
+        return list(self.remaining)
+
+    def scan(self, candidates: Sequence[int]) -> list[float]:
+        """The tau of adding each candidate, in order, up to the first 1.0."""
+        average, chosen, peaks, columns = self.average, self.chosen, self.peaks, self.columns
+        reference = self.reference
+        m = len(self.taken) + 1
+        taus = []
+        for s in candidates:
+            if average:
+                scores = [fsum(vals + [x]) / m for vals, x in zip(chosen, columns[s])]
+            else:
+                scores = list(map(max, peaks, columns[s])) if peaks else columns[s]
+            tau = _tau_b(scores, reference)
+            taus.append(tau)
+            if tau == 1.0:
+                break
+        return taus
+
+    @staticmethod
+    def pick(taus: list[float], best: float) -> int:
+        return taus.index(best)
+
+    def take(self, s: int) -> None:
+        self.taken.append(s)
+        self.remaining.remove(s)
+        if self.average:
+            for vals, x in zip(self.chosen, self.columns[s]):
+                vals.append(x)
+        else:
+            self.peaks = list(map(max, self.peaks, self.columns[s])) if self.peaks else self.columns[s]
+
+    def subset(self) -> tuple[int, ...]:
+        return tuple(sorted(self.taken))
+
+
+class _BackwardSearch:
+    """State of one greedy backward selection (SBS) over the makespan rows
+    and full-set fitness values of a training set.
+
+    It starts from the full set. A step's candidates are the positions of
+    the scenarios still selected, in index order; the step drops the last
+    candidate with the highest tau, so ties resolve to removing the highest
+    index and the retained subset stays lexicographically smallest.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[float]], values: Sequence[float], aggregate: str, k: int):
+        self.rows, self.values, self.k = rows, values, k
+        self.reference = _tau_reference(values)
+        self.aggregate = aggregate
+        # per training mapping: its values on the selected scenarios, in index order
+        self.kept = [list(row) for row in rows]
+        self.selected = list(range(len(rows[0])))
+        self.taken: list[int] = []  # the dropped positions, in order
+
+    def start_tau(self) -> float:
+        return _tau_b([aggregate_values(vals, self.aggregate) for vals in self.kept], self.reference)
+
+    def steps_left(self) -> int:
+        return len(self.selected) - self.k
+
+    def candidates(self) -> list[int]:
+        return list(range(len(self.selected)))
+
+    def scan(self, positions: Sequence[int]) -> list[float]:
+        """The tau of dropping each candidate position, in order."""
+        kept, aggregate, reference = self.kept, self.aggregate, self.reference
+        return [
+            _tau_b([aggregate_values(vals[:pos] + vals[pos + 1 :], aggregate) for vals in kept], reference)
+            for pos in positions
+        ]
+
+    @staticmethod
+    def pick(taus: list[float], best: float) -> int:
+        return len(taus) - 1 - taus[::-1].index(best)
+
+    def take(self, pos: int) -> None:
+        self.taken.append(pos)
+        del self.selected[pos]
+        for vals in self.kept:
+            del vals[pos]
+
+    def subset(self) -> tuple[int, ...]:
+        return tuple(self.selected)
+
+
+_SEARCHES = {"sfs": _ForwardSearch, "sbs": _BackwardSearch}
+
+
+def _new_search(method: str, spec: SystemSpec, training: TrainingSet, k: int, aggregate: str):
+    """A search for k scenarios over the training set's makespan rows,
+    computing missing ones."""
+    rows = _makespan_matrix(spec, training)
+    return _SEARCHES[method](rows, [f.value for f in training.fitnesses], aggregate, k)
+
+
+def _greedy(search, scan: Callable[[list[int]], list[float]]) -> SubsetSnapshot:
+    """Step a search until its subset holds its k scenarios.
+
+    ``scan`` gives the taus of a step's candidates in candidate order, or
+    of a prefix of them that ends with a winning 1.0; the search's own rule
+    picks the winner among them. The returned snapshot carries version 0 —
+    the publisher stamps the real version.
+    """
+    achieved = search.start_tau()
+    while search.steps_left():
+        candidates = search.candidates()
+        taus = scan(candidates)
+        achieved = max(taus)
+        search.take(candidates[search.pick(taus, achieved)])
+    return SubsetSnapshot(indices=search.subset(), version=0, tau=achieved)
+
+
 def select_subset_sfs(
     spec: SystemSpec, training: TrainingSet, k: int, aggregate: str = "average"
 ) -> SubsetSnapshot:
@@ -248,39 +439,8 @@ def select_subset_sfs(
     carries version 0 — the publisher stamps the real version.
     """
     _check_selection_args(spec, training, k, aggregate)
-    reference = _tau_reference([f.value for f in training.fitnesses])
-    columns = list(zip(*_makespan_matrix(spec, training)))
-    average = aggregate == "average"
-    # per training mapping: its values on the selected scenarios in selection
-    # order ("average"), or their running max ("worst")
-    chosen: list[list[float]] = [[] for _ in range(len(training))]
-    peaks: Sequence[float] = ()
-    selected: list[int] = []
-    remaining = list(range(len(spec.scenarios)))
-    achieved = 0.0
-    for m in range(1, k + 1):
-        best_idx = None
-        best_tau = -2.0
-        for s in remaining:
-            if average:
-                scores = [fsum(vals + [x]) / m for vals, x in zip(chosen, columns[s])]
-            else:
-                scores = list(map(max, peaks, columns[s])) if peaks else columns[s]
-            tau = _tau_b(scores, reference)
-            if tau > best_tau:
-                best_tau = tau
-                best_idx = s
-                if tau == 1.0:  # no later candidate can beat it
-                    break
-        selected.append(best_idx)
-        remaining.remove(best_idx)
-        if average:
-            for vals, x in zip(chosen, columns[best_idx]):
-                vals.append(x)
-        else:
-            peaks = list(map(max, peaks, columns[best_idx])) if peaks else columns[best_idx]
-        achieved = best_tau
-    return SubsetSnapshot(indices=tuple(sorted(selected)), version=0, tau=achieved)
+    search = _new_search("sfs", spec, training, k, aggregate)
+    return _greedy(search, search.scan)
 
 
 def select_subset_sbs(
@@ -291,25 +451,8 @@ def select_subset_sbs(
     removing the highest index, keeping the retained subset lexicographically
     smallest."""
     _check_selection_args(spec, training, k, aggregate)
-    reference = _tau_reference([f.value for f in training.fitnesses])
-    # per training mapping: its values on the selected scenarios, in index order
-    kept = [list(row) for row in _makespan_matrix(spec, training)]
-    selected = list(range(len(spec.scenarios)))
-    achieved = _tau_b([aggregate_values(vals, aggregate) for vals in kept], reference)
-    while len(selected) > k:
-        best_pos = None
-        best_tau = -2.0
-        for pos, s in enumerate(selected):
-            scores = [aggregate_values(vals[:pos] + vals[pos + 1 :], aggregate) for vals in kept]
-            tau = _tau_b(scores, reference)
-            if tau > best_tau or (tau == best_tau and best_pos is not None and s > selected[best_pos]):
-                best_tau = tau
-                best_pos = pos
-        del selected[best_pos]
-        for vals in kept:
-            del vals[best_pos]
-        achieved = best_tau
-    return SubsetSnapshot(indices=tuple(selected), version=0, tau=achieved)
+    search = _new_search("sbs", spec, training, k, aggregate)
+    return _greedy(search, search.scan)
 
 
 def select_subset(
@@ -358,6 +501,212 @@ class StaticSubsetProvider:
         pass
 
 
+def _helper_available() -> bool:
+    """Whether a selector helper can run beside this thread: fork exists and
+    this process may run on at least two CPUs."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+# how long the parent and the selector helper busy-poll for each other's
+# next message within a pass before a blocking wait, whose wake-up would
+# cost a good part of a search step's share of the work
+_HELPER_SPIN_S = 1e-3
+_EVALUATE, _SCAN = 0, 1  # helper request kinds
+_MESSAGE = struct.Struct("<BI")  # request kind, payload bytes
+_SCAN_HEAD = struct.Struct("<ii")  # training rows sent (0 after a pass's first scan), takes
+
+
+class _SelectionHelper(ForkedChild):
+    """The selector's forked helper: it runs the later half of a pass's
+    work lists with the same functions this thread runs on the first half.
+
+    :meth:`evaluate` splits the pass's new training mappings; the helper
+    replies with their exact per-scenario (makespan, energy) doubles.
+    :meth:`scan` splits each search step's candidates. A pass's first scan
+    request carries its makespan rows and full-set fitness values, and every
+    scan request carries the candidates taken so far, so the helper keeps a
+    copy of the pass's search in step; it replies with exact ``<d`` taus.
+
+    Unavailable (see :func:`_helper_available`), every list runs whole on
+    this thread. If the helper fails during a pass (it dies, exceeds
+    :data:`CHILD_JOB_TIMEOUT_S` or replies with an error), it is stopped and
+    the rest of the pass runs on this thread, to the same results; the next
+    pass forks a new helper.
+    """
+
+    _what = "selector helper"
+    _spin_s = _HELPER_SPIN_S
+
+    def __init__(self, spec: SystemSpec, method: str, aggregate: str, k: int):
+        super().__init__(spec)
+        self._method = method
+        self._aggregate = aggregate
+        self._k = k
+        self._available = _helper_available()
+        self._active = False  # the helper takes part in the current pass
+        self._pinned = False  # _pin() ran in the current pass
+        self._mask: set[int] | None = None  # this thread's CPUs before _pin()
+        self._search = None  # the search whose rows the helper has
+
+    def begin_pass(self) -> None:
+        self._active = self._available
+        self._pinned = False
+        self._search = None
+
+    def end_pass(self) -> None:
+        """Give this thread back the CPUs it had before the pass."""
+        if self._mask is not None:
+            mask, self._mask = self._mask, None
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, mask)
+
+    def _pin(self) -> None:
+        """Pin the helper to the last CPU this thread may use, and this
+        thread to the others until end_pass(), so the two never take turns
+        on one CPU, where each busy-poll would hold the other up."""
+        self._pinned = True
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            return
+        cpu = max(mask)
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(self._pid, {cpu})
+            os.sched_setaffinity(0, mask - {cpu})
+            self._mask = mask
+
+    def evaluate(self, mappings: list[Mapping]) -> list[list[tuple[float, float]]]:
+        """Per-scenario costs of each mapping on the full set, in order."""
+        spec = self._spec
+        n = 2 * len(spec.scenarios)
+
+        def run(part: list[Mapping]) -> list[list[tuple[float, float]]]:
+            return [_mapping_costs(spec, m, spec.compiled_scenarios) for m in part]
+
+        def request(part: list[Mapping]) -> bytes:
+            genes = [g for m in part for g in m.genes]
+            return _request(_EVALUATE, struct.pack(f"<{len(genes)}i", *genes))
+
+        def decode(values: Sequence[float]) -> list[list[tuple[float, float]]]:
+            return [list(zip(values[i : i + n : 2], values[i + 1 : i + n : 2])) for i in range(0, len(values), n)]
+
+        return self._split(mappings, run, request, decode)
+
+    def scan(self, search, candidates: list[int]) -> list[float]:
+        """The taus ``search.scan(candidates)`` gives, the later half of
+        them scored by the helper."""
+
+        def request(part: list[int]) -> bytes:
+            payload = b""
+            rows = 0
+            if self._search is not search:
+                self._search = search
+                rows = len(search.rows)
+                doubles = [x for row in search.rows for x in row] + list(search.values)
+                payload = struct.pack(f"<{len(doubles)}d", *doubles)
+            ints = search.taken + part
+            head = _SCAN_HEAD.pack(rows, len(search.taken))
+            return _request(_SCAN, head + payload + struct.pack(f"<{len(ints)}i", *ints))
+
+        return self._split(candidates, search.scan, request, list)
+
+    def _split(self, items: list, run: Callable, request: Callable, decode: Callable) -> list:
+        """``run(items)``, the later half of the items sent to the helper as
+        ``request(half)`` while this thread runs the first half; the reply's
+        doubles go through ``decode``. A run that ends early on this side
+        leaves the helper's results unused."""
+        if not self._active or len(items) < 2:
+            return run(items)
+        half = (len(items) + 1) // 2
+        mine, theirs = items[:half], items[half:]
+        try:
+            self._send(request(theirs))
+        except OSError:  # no helper could be started
+            self._fail()
+            return run(items)
+        if not self._pinned:
+            self._pin()
+        try:
+            ours = run(mine)
+            values = self._reply_values()
+        except BaseException:
+            self.stop()  # a reply left unread would answer the next request
+            raise
+        if len(ours) < len(mine):
+            return ours
+        return ours + (run(theirs) if values is None else decode(values))
+
+    def _reply_values(self) -> tuple[float, ...] | None:
+        """The doubles of the helper's reply, or None if it failed."""
+        try:
+            status, payload = self._read_reply()
+        except OSError:  # it died or hung
+            status = 1
+        if status:
+            self._fail()
+            return None
+        return struct.unpack(f"<{len(payload) // 8}d", payload)
+
+    def _fail(self) -> None:
+        """Stop the helper and run the rest of the pass on this thread."""
+        self.stop()
+        self._active = False
+
+    def _serve(self, requests: int, replies: int) -> None:
+        _serve_selection(self._spec, self._method, self._aggregate, self._k, requests, replies)
+
+
+def _request(kind: int, payload: bytes) -> bytes:
+    return _MESSAGE.pack(kind, len(payload)) + payload
+
+
+def _serve_selection(
+    spec: SystemSpec, method: str, aggregate: str, k: int, requests: int, replies: int
+) -> None:
+    """The selector helper's serve loop: answer requests in order until the
+    parent closes the request pipe. A reply holds exact doubles, or the
+    ``"Type: message"`` text of the exception a request raised. While the
+    pass has a further step to scan, the wait for its request busy-polls
+    first."""
+    n_genes, n_scen = len(spec.processes), len(spec.scenarios)
+    search = None
+    poll = select.poll()
+    poll.register(requests, select.POLLIN)
+    more = False  # another request of this pass is on its way
+    while True:
+        if more:
+            _spin(poll, _HELPER_SPIN_S)
+        head = _read_exact(requests, _MESSAGE.size)
+        if not head:
+            break
+        kind, size = _MESSAGE.unpack(head)
+        payload = _read_exact(requests, size)
+        try:
+            if kind == _EVALUATE:
+                genes = struct.unpack(f"<{size // 4}i", payload)
+                results = []
+                for i in range(0, len(genes), n_genes):
+                    for costs in _mapping_costs(spec, Mapping(genes=genes[i : i + n_genes]), spec.compiled_scenarios):
+                        results += costs
+            else:
+                rows, n_taken = _SCAN_HEAD.unpack_from(payload)
+                offset = _SCAN_HEAD.size
+                if rows:
+                    doubles = struct.unpack_from(f"<{rows * (n_scen + 1)}d", payload, offset)
+                    offset += 8 * len(doubles)
+                    matrix = [doubles[i : i + n_scen] for i in range(0, rows * n_scen, n_scen)]
+                    search = _SEARCHES[method](matrix, doubles[rows * n_scen :], aggregate, k)
+                ints = struct.unpack_from(f"<{(size - offset) // 4}i", payload, offset)
+                for candidate in ints[len(search.taken) : n_taken]:
+                    search.take(candidate)
+                results = search.scan(ints[n_taken:])
+            reply = _reply(0, struct.pack(f"<{len(results)}d", *results))
+            more = kind == _EVALUATE or search.steps_left() > 1
+        except Exception as exc:
+            reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
+            more = False
+        _write_all(replies, reply)
+
+
 class SelectorService:
     """Runs subset selection next to the explorer and publishes snapshots.
 
@@ -366,8 +715,16 @@ class SelectorService:
     there, over the candidates offered since the previous tick. Snapshot
     versions increase by one per publication.
 
-    ``mode`` accepts only ``"sync"``; start() and stop() do nothing. Both
-    are kept for callers written against the provider lifecycle.
+    Where fork exists and this process may run on two or more CPUs, each
+    pass is split between the explorer's thread and one persistent forked
+    selector helper (:class:`_SelectionHelper`): the helper evaluates half
+    of the new training mappings and scores half of each search step's
+    candidates, and this thread applies the selection rule to all of them,
+    so subsets and taus are the same as a serial pass's. The helper is
+    forked by the first pass, not here; stop() stops it, and so does
+    dropping the service. ``mode`` accepts only ``"sync"`` and start() does
+    nothing; both are kept for callers written against the provider
+    lifecycle.
     """
 
     def __init__(
@@ -394,6 +751,8 @@ class SelectorService:
         self._training = TrainingSet(TRAINING_CAPACITY)
         self._pending: list[Mapping] = []  # offered since the last pass
         self._snapshot = SubsetSnapshot(indices=full_subset(spec), version=0, tau=1.0)
+        self._helper = _SelectionHelper(spec, method, aggregate, k)
+        weakref.finalize(self, self._helper.stop)
         self.log: list[SelectorLogRow] = []
 
     def latest(self) -> SubsetSnapshot:
@@ -411,18 +770,30 @@ class SelectorService:
         """
         t0 = time.perf_counter_ns()
         pending, self._pending = self._pending, []
+        spec, training, helper = self._spec, self._training, self._helper
+        fresh: dict[tuple[int, ...], Mapping] = {}  # new mappings, first offer first
         for mapping in pending:
-            self._training.offer(self._spec, mapping, self._aggregate)
-        if len(self._training) < 2:
-            return
-        snap = select_subset(self._spec, self._training, self._k, self._method, self._aggregate)
+            if mapping not in training and mapping.genes not in fresh:
+                spec.check_mapping(mapping)
+                fresh[mapping.genes] = mapping
+        helper.begin_pass()
+        try:
+            costs = dict(zip(fresh, helper.evaluate(list(fresh.values()))))
+            for mapping in pending:
+                training.offer(spec, mapping, self._aggregate, costs.get(mapping.genes))
+            if len(training) < 2:
+                return
+            search = _new_search(self._method, spec, training, self._k, self._aggregate)
+            snap = _greedy(search, functools.partial(helper.scan, search))
+        finally:
+            helper.end_pass()
         self._snapshot = SubsetSnapshot(snap.indices, self._snapshot.version + 1, snap.tau)
         self.log.append(
             SelectorLogRow(
                 version=self._snapshot.version,
                 subset_indices=snap.indices,
                 tau=snap.tau,
-                training_size=len(self._training),
+                training_size=len(training),
                 wall_ns=time.perf_counter_ns() - t0,
             )
         )
@@ -431,4 +802,5 @@ class SelectorService:
         pass
 
     def stop(self) -> None:
-        pass
+        """Stop the selector helper, if one runs; a later pass forks a new one."""
+        self._helper.stop()

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import threading
 
@@ -207,6 +208,19 @@ def call_with_deadline(fn, what: str, timeout: float = 5.0):
     if not returned:
         raise value
     return value
+
+
+def assert_no_child_process() -> None:
+    """Fail if this test process has a forked child, running or exited but
+    not yet reaped: every child process the code forks must be gone, and
+    reaped, once its owner has been stopped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child process at all
+        return
+    if pid:
+        pytest.fail(f"child process {pid} exited but was never reaped")
+    pytest.fail("a child process is still running")
 
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []

@@ -30,7 +30,7 @@ from sdse.evaluator import (
 from sdse.model import Mapping
 from sdse.workpool import QUEUE_KINDS, BrokenPoolError, JobError, make_pool
 
-from conftest import call_with_deadline, ga_instance
+from conftest import assert_no_child_process, call_with_deadline, ga_instance
 from test_evaluator import _oracle_mappings, random_float_spec
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -238,6 +238,7 @@ def test_child_dying_mid_job_fails_that_job_and_the_next_gets_a_new_child(
     finally:
         call_with_deadline(pool.shutdown, what)
     _assert_reaped(second)
+    assert_no_child_process()
 
 
 def test_child_found_dead_is_replaced_and_the_job_runs_once(two_proc_spec, monkeypatch, tmp_path):
@@ -257,6 +258,7 @@ def test_child_found_dead_is_replaced_and_the_job_runs_once(two_proc_spec, monke
         call_with_deadline(pool.shutdown, what)
     assert log.read_text().splitlines() == ["(0, 1)", "(0, 1)"]  # each job ran once
     _assert_reaped(second)
+    assert_no_child_process()
 
 
 def test_hung_child_is_killed_after_the_timeout(two_proc_spec, monkeypatch):
@@ -278,6 +280,7 @@ def test_hung_child_is_killed_after_the_timeout(two_proc_spec, monkeypatch):
     finally:
         call_with_deadline(pool.shutdown, what)
     _assert_reaped(second)
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
@@ -291,6 +294,7 @@ def test_children_reaped_after_shutdown(two_proc_spec, monkeypatch, queue_kind):
     call_with_deadline(pool.shutdown, what)
     for pid in pids:
         _assert_reaped(pid)
+    assert_no_child_process()
 
 
 class _FatalOnGenes:
@@ -334,6 +338,7 @@ def test_children_reaped_after_a_broken_pool(two_proc_spec, monkeypatch, queue_k
     assert len(pids) == 2
     for pid in pids:
         _assert_reaped(pid)
+    assert_no_child_process()
 
 
 class _Interrupt(BaseException):
@@ -366,3 +371,4 @@ def test_children_reaped_after_an_interrupted_batch(two_proc_spec, monkeypatch, 
     assert len(pids) == 2
     for pid in pids:
         _assert_reaped(pid)
+    assert_no_child_process()

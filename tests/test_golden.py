@@ -8,7 +8,8 @@ change to fitness values, to the GA trajectory or to subset selection shows
 up here as a changed digest. The scaling benchmark's records file, with its
 timing columns zeroed, is guarded the same way. Explore outputs must also be
 byte-identical whether mappings are evaluated in the forked children or in
-process.
+process, and whether selection passes are split with the selector helper or
+run serially.
 
 Run as a script to print the digests of the checkout on ``sys.path``:
 
@@ -25,6 +26,7 @@ import random
 from pathlib import Path
 
 import sdse.cli
+import sdse.selector
 from sdse.cli import main
 from sdse.evaluator import MappingExecutor
 
@@ -173,6 +175,33 @@ def test_explore_outputs_identical_in_process_and_in_children(tmp_path, monkeypa
             blobs = [(out_dir / f).read_bytes() for f in OUTPUTS[:-1]]
             outputs.append(blobs + [stdout.getvalue().encode()])
         assert outputs[0] == outputs[1], k
+
+
+def test_explore_outputs_identical_with_and_without_selector_helper(tmp_path, monkeypatch):
+    # a pass split with the forked selector helper writes the same bytes as
+    # a serial pass
+    config = tmp_path / "golden.json"
+    config.write_text(json.dumps(golden_config()), encoding="utf-8")
+    for name, flags in RUNS.items():
+        if name == "full":
+            continue
+        outputs = []
+        for helper in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(sdse.selector, "_helper_available", lambda: helper)
+                out_dir = tmp_path / f"{name}-{helper}"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(
+                        ["explore", "--config", str(config), "--seed", "5", "--workers", "2"]
+                        + ["--generations", "30", "--population", "24", "--no-timing"]
+                        + flags
+                        + ["--out", str(out_dir)]
+                    )
+            assert code == 0, (name, helper)
+            blobs = [(out_dir / f).read_bytes() for f in OUTPUTS[:-1]]
+            outputs.append(blobs + [stdout.getvalue().encode()])
+        assert outputs[0] == outputs[1], name
 
 
 def test_bench_records_match_golden_digests(tmp_path):

@@ -535,6 +535,17 @@ def test_tau_rank_path_matches_oracle_bit_for_bit(monkeypatch):
         tied = list(a)
         tied[-1] = tied[0]
         one_side_ties += [(tied, b), (b, tied)]
+    # candidate scores with tied groups of every size against a tie-free
+    # reference: these take the rank path
+    tied_scores = []
+    for n in range(2, 17):
+        for _ in range(60):
+            b = rng.sample(range(-40, 40), n)
+            levels = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, n))]
+            tied_scores.append(([rng.choice(levels) for _ in range(n)], b))
+        tied_scores.append(([3.5] * n, list(range(n))))  # all tied
+        tied_scores.append(([rng.choice((0.0, -0.0)) for _ in range(n)], list(range(n, 0, -1))))
+        tied_scores.append(([rng.choice((0.0, -0.0, 1.0, math.inf)) for _ in range(n)], rng.sample(range(n), n)))
     special = [
         ([0.0, -0.0, 1.0], [1.0, 2.0, 3.0]),
         ([-0.0, 1, 2.5, math.inf], [0, 3, -math.inf, 2.5]),
@@ -548,15 +559,18 @@ def test_tau_rank_path_matches_oracle_bit_for_bit(monkeypatch):
     ]
     special += [(b, a) for a, b in special]
     pair_signs = _counting_pair_signs(monkeypatch)
-    for a, b in tie_free + one_side_ties + special:
+    ranked_calls = 0
+    for a, b in tie_free + one_side_ties + tied_scores + special:
         expected = oracle_kendall_tau(a, b).hex()
         assert kendall_tau(a, b).hex() == expected, (a, b)
         reference = _tau_reference(b)
         before = pair_signs[0]
         assert _tau_b(a, reference).hex() == expected, (a, b)
-        ranked = _tie_free(a) and _tie_free(b)
+        ranked = _tie_free(b) and not any(x != x for x in a)
         assert pair_signs[0] == before + (not ranked), (a, b)  # the rank path builds none
+        ranked_calls += ranked and not _tie_free(a)
     assert len(tie_free) > 2000 and all(_tie_free(a) and _tie_free(b) for a, b in tie_free)
+    assert ranked_calls > 900  # tied candidate scores counted by rank inversions
 
 
 def _tie_free_training(spec, rng, size, aggregate):
@@ -626,37 +640,41 @@ def test_sfs_step_stops_at_a_perfect_candidate(monkeypatch, aggregate):
 # --- cached makespan rows -------------------------------------------------------
 
 
-def _counting_scenario_cost(monkeypatch):
-    """Counts the scenarios the selector evaluates through the kernel."""
-    calls = [0]
+def _counting_scenario_cost(monkeypatch, tmp_path):
+    """Counts the scenarios the selector evaluates through the kernel, here
+    and in a selector helper forked after the patch: each call appends its
+    count to a file. Returns a function giving the total so far."""
+    log = tmp_path / "scenario-costs.log"
+    log.touch()
     real = selector_mod._mapping_costs
 
     def counting(spec, mapping, scenarios):
         costs = real(spec, mapping, scenarios)
-        calls[0] += len(costs)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(costs)}\n")
         return costs
 
     monkeypatch.setattr(selector_mod, "_mapping_costs", counting)
-    return calls
+    return lambda: sum(map(int, log.read_text().split()))
 
 
-def test_service_evaluates_each_new_mapping_once(monkeypatch):
+def test_service_evaluates_each_new_mapping_once(monkeypatch, tmp_path):
     spec = five_scenario_spec()
     n_scen = len(spec.scenarios)
-    calls = _counting_scenario_cost(monkeypatch)
+    calls = _counting_scenario_cost(monkeypatch, tmp_path)
     service = SelectorService(spec, k=2, mode="sync")
     service.submit_training([Mapping(genes=(0, 0, 1)), Mapping(genes=(1, 0, 1))])
     service.generation_tick()
-    assert calls[0] == 2 * n_scen
+    assert calls() == 2 * n_scen
     assert service.latest().version == 1
-    calls[0] = 0
     service.submit_training([Mapping(genes=(0, 0, 1))])  # re-offered
     service.generation_tick()
-    assert calls[0] == 0
+    assert calls() == 2 * n_scen
     assert service.latest().version == 2
     service.submit_training([Mapping(genes=(1, 1, 1))])  # new
     service.generation_tick()
-    assert calls[0] == n_scen
+    assert calls() == 3 * n_scen
+    service.stop()
 
 
 @pytest.mark.parametrize("aggregate", AGGREGATES)
@@ -680,14 +698,14 @@ def test_stored_row_and_fitness_match_fresh_evaluation(aggregate):
         assert entry.fitness.energy.hex() == expected.energy.hex()
 
 
-def test_makespan_matrix_computes_missing_rows_once(monkeypatch):
+def test_makespan_matrix_computes_missing_rows_once(monkeypatch, tmp_path):
     spec = five_scenario_spec()
     ts = _training_over(spec, [(0, 0, 0), (0, 1, 1)])
-    calls = _counting_scenario_cost(monkeypatch)
+    calls = _counting_scenario_cost(monkeypatch, tmp_path)
     first = _makespan_matrix(spec, ts)
-    assert calls[0] == 2 * len(spec.scenarios)
+    assert calls() == 2 * len(spec.scenarios)
     assert _makespan_matrix(spec, ts) == first
-    assert calls[0] == 2 * len(spec.scenarios)
+    assert calls() == 2 * len(spec.scenarios)
 
 
 def test_sync_service_rejects_out_of_range_genes():
