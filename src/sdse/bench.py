@@ -17,7 +17,6 @@ timings.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import statistics
@@ -141,6 +140,8 @@ def _make_workload(cfg: BenchConfig) -> tuple[list, Callable, int]:
 
 
 def _checksum(results: Sequence) -> str:
+    import hashlib  # here, so importing this module does not load OpenSSL
+
     h = hashlib.sha256()
     for r in results:
         h.update(repr(r).encode())

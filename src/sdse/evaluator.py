@@ -29,12 +29,14 @@ serves the subset selector's helper process.
 The synthetic job body is a SHA-256 hash chain over a fixed 1 MiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
 of these jobs scale across worker threads while staying bit-deterministic.
+The block and ``hashlib`` (which loads OpenSSL) are set up by the first
+synthetic job, so a process that only explores never holds them.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import functools
 import math
 import os
 import select
@@ -177,8 +179,17 @@ def full_subset(spec: SystemSpec) -> tuple[int, ...]:
 # --- synthetic job bodies -------------------------------------------------
 
 _SYNTH_SEED = bytes(range(32))
-_SYNTH_BLOCK = bytes(range(256)) * 4096  # 1 MiB; hashed with the GIL released
-_SYNTH_PROTO = hashlib.sha256()  # copied per round; cheaper than construction
+
+
+@functools.cache
+def _synth_parts() -> tuple[bytes, object]:
+    """The 1 MiB block, hashed with the GIL released, and a SHA-256 state that
+    each round copies (cheaper than construction). Built on first use, so a
+    process that runs no synthetic job neither holds the block nor loads
+    hashlib."""
+    import hashlib
+
+    return bytes(range(256)) * 4096, hashlib.sha256()
 
 
 def synthetic_job(cost: int) -> int:
@@ -194,11 +205,12 @@ def synthetic_job(cost: int) -> int:
     """
     if cost < 0:
         raise ValueError("cost must be >= 0")
+    block, proto = _synth_parts()
     state = _SYNTH_SEED
     for _ in range(cost):
-        h = _SYNTH_PROTO.copy()
+        h = proto.copy()
         h.update(state)
-        h.update(_SYNTH_BLOCK)
+        h.update(block)
         state = h.digest()
     return int.from_bytes(state[:8], "little")
 

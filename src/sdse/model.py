@@ -1,8 +1,8 @@
 """Domain model: applications, architecture, scenarios, mappings, config I/O.
 
 The configuration document is JSON with top-level keys ``applications``,
-``architecture`` and ``scenarios``; see :func:`parse_config` for the shape.
-All model types are immutable after construction and safe to share read-only
+``architecture`` and ``scenarios``; see :func:`parse_config` for the shape
+and for which fault is reported when a document has several. All model types are immutable after construction and safe to share read-only
 between threads.
 """
 
@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Collection, Iterable
 
 CHANNEL_KEY_SEP = "->"
 
@@ -184,6 +184,13 @@ def _err(msg: str) -> ConfigSemanticError:
     return ConfigSemanticError(msg)
 
 
+def _nonnegative_finite(values: Collection[float]) -> bool:
+    """True if every value is >= 0 and finite. A NaN or an infinity makes the
+    sum non-finite; so does a sum that overflows, which only sends a valid
+    scenario through the per-item checks."""
+    return min(values, default=0.0) >= 0 and math.isfinite(sum(values))
+
+
 def _validate_spec(spec: SystemSpec) -> None:
     seen_apps: set[str] = set()
     seen_procs: set[str] = set()
@@ -235,76 +242,109 @@ def _validate_spec(spec: SystemSpec) -> None:
         if scen.name in seen_scen:
             raise _err(f"duplicate scenario name '{scen.name}'")
         seen_scen.add(scen.name)
-        for a in scen.active_apps:
-            if a not in seen_apps:
-                raise _err(f"scenario '{scen.name}': unknown application '{a}'")
-        for p, demand in scen.comp.items():
-            if p not in app_of_proc:
-                raise _err(f"scenario '{scen.name}': comp references unknown process '{p}'")
-            if not (demand >= 0 and math.isfinite(demand)):
-                raise _err(f"scenario '{scen.name}': negative comp demand for '{p}'")
-            if demand > 0 and app_of_proc[p] not in scen.active_apps:
-                raise _err(
-                    f"scenario '{scen.name}': process '{p}' of inactive application "
-                    f"'{app_of_proc[p]}' has non-zero comp demand"
-                )
-        for ch, demand in scen.data.items():
-            if ch not in app_of_chan:
-                raise _err(
-                    f"scenario '{scen.name}': data references unknown channel "
-                    f"'{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}'"
-                )
-            if not (demand >= 0 and math.isfinite(demand)):
-                raise _err(
-                    f"scenario '{scen.name}': negative data demand for "
-                    f"'{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}'"
-                )
-            if demand > 0 and app_of_chan[ch] not in scen.active_apps:
-                raise _err(
-                    f"scenario '{scen.name}': channel '{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}' of "
-                    f"inactive application '{app_of_chan[ch]}' has non-zero data demand"
-                )
+        # bulk acceptance: every application known, every demand on a process
+        # or channel of an active application, every demand >= 0 and finite;
+        # a zero demand of an inactive application takes the per-item path
+        active = scen.active_apps
+        if not (
+            active <= seen_apps
+            and set(map(app_of_proc.get, scen.comp)) <= active
+            and set(map(app_of_chan.get, scen.data)) <= active
+            and _nonnegative_finite(scen.comp.values())
+            and _nonnegative_finite(scen.data.values())
+        ):
+            _check_scenario(scen, seen_apps, app_of_proc, app_of_chan)
 
 
-def _expect(obj: Any, typ: type, what: str) -> Any:
+def _check_scenario(
+    scen: Scenario,
+    apps: set[str],
+    app_of_proc: dict[str, str],
+    app_of_chan: dict[tuple[str, str], str],
+) -> None:
+    """Check one scenario item by item and raise on its first violation."""
+    for a in sorted(scen.active_apps):  # a frozenset iterates in string-hash order
+        if a not in apps:
+            raise _err(f"scenario '{scen.name}': unknown application '{a}'")
+    for p, demand in scen.comp.items():
+        if p not in app_of_proc:
+            raise _err(f"scenario '{scen.name}': comp references unknown process '{p}'")
+        if not (demand >= 0 and math.isfinite(demand)):
+            raise _err(f"scenario '{scen.name}': negative comp demand for '{p}'")
+        if demand > 0 and app_of_proc[p] not in scen.active_apps:
+            raise _err(
+                f"scenario '{scen.name}': process '{p}' of inactive application "
+                f"'{app_of_proc[p]}' has non-zero comp demand"
+            )
+    for ch, demand in scen.data.items():
+        if ch not in app_of_chan:
+            raise _err(
+                f"scenario '{scen.name}': data references unknown channel "
+                f"'{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}'"
+            )
+        if not (demand >= 0 and math.isfinite(demand)):
+            raise _err(
+                f"scenario '{scen.name}': negative data demand for "
+                f"'{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}'"
+            )
+        if demand > 0 and app_of_chan[ch] not in scen.active_apps:
+            raise _err(
+                f"scenario '{scen.name}': channel '{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}' of "
+                f"inactive application '{app_of_chan[ch]}' has non-zero data demand"
+            )
+
+
+# Error locations are format templates, filled in only when a check fails.
+
+
+def _expect(obj: Any, typ: type, what: str, *args: Any) -> Any:
     if not isinstance(obj, typ):
-        raise _err(f"{what}: expected {typ.__name__}, got {type(obj).__name__}")
+        raise _err(f"{what.format(*args)}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
 
 
-def _expect_number(obj: Any, what: str) -> float:
+def _expect_number(obj: Any, what: str, *args: Any) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise _err(f"{what}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+        raise _err(f"{what.format(*args)}: expected a number, got {type(obj).__name__}")
+    try:
+        return float(obj)
+    except OverflowError:  # an integer beyond the largest double
+        raise _err(f"{what.format(*args)}: number does not fit a double") from None
+
+
+def _expect_strings(items: list, what: str, *args: Any) -> None:
+    if not {*map(type, items)} <= {str}:
+        for item in items:
+            _expect(item, str, what, *args)
 
 
 def _parse_application(raw: Any, pos: int) -> Application:
-    obj = _expect(raw, dict, f"applications[{pos}]")
-    name = _expect(obj.get("name"), str, f"applications[{pos}].name")
-    procs = _expect(obj.get("processes"), list, f"application '{name}': processes")
-    processes = tuple(_expect(p, str, f"application '{name}': process entry") for p in procs)
+    obj = _expect(raw, dict, "applications[{}]", pos)
+    name = _expect(obj.get("name"), str, "applications[{}].name", pos)
+    processes = _expect(obj.get("processes"), list, "application '{}': processes", name)
+    _expect_strings(processes, "application '{}': process entry", name)
     channels = []
-    for ch in _expect(obj.get("channels", []), list, f"application '{name}': channels"):
-        pair = _expect(ch, list, f"application '{name}': channel entry")
+    for ch in _expect(obj.get("channels", []), list, "application '{}': channels", name):
+        pair = _expect(ch, list, "application '{}': channel entry", name)
         if len(pair) != 2:
             raise _err(f"application '{name}': channel must be a [from, to] pair")
         channels.append((_expect(pair[0], str, "channel endpoint"), _expect(pair[1], str, "channel endpoint")))
     unknown = set(obj) - {"name", "processes", "channels"}
     if unknown:
         raise _err(f"application '{name}': unknown key '{sorted(unknown)[0]}'")
-    return Application(name=name, processes=processes, channels=tuple(channels))
+    return Application(name=name, processes=tuple(processes), channels=tuple(channels))
 
 
 def _parse_architecture(raw: Any) -> Architecture:
     obj = _expect(raw, dict, "architecture")
     procs = []
     for i, p in enumerate(_expect(obj.get("processors"), list, "architecture.processors")):
-        entry = _expect(p, dict, f"architecture.processors[{i}]")
+        entry = _expect(p, dict, "architecture.processors[{}]", i)
         procs.append(
             Processor(
-                name=_expect(entry.get("name"), str, f"processors[{i}].name"),
-                speed=_expect_number(entry.get("speed"), f"processors[{i}].speed"),
-                power=_expect_number(entry.get("power"), f"processors[{i}].power"),
+                name=_expect(entry.get("name"), str, "processors[{}].name", i),
+                speed=_expect_number(entry.get("speed"), "processors[{}].speed", i),
+                power=_expect_number(entry.get("power"), "processors[{}].power", i),
             )
         )
     ic = _expect(obj.get("interconnect"), dict, "architecture.interconnect")
@@ -315,48 +355,81 @@ def _parse_architecture(raw: Any) -> Architecture:
     return Architecture(processors=tuple(procs), interconnect=interconnect)
 
 
-def _parse_channel_key(key: str, where: str) -> tuple[str, str]:
+def _split_channel_key(key: str) -> tuple[str, str] | None:
     parts = key.split(CHANNEL_KEY_SEP)
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise _err(f"{where}: malformed channel key '{key}' (expected 'from{CHANNEL_KEY_SEP}to')")
+        return None
     return parts[0], parts[1]
 
 
-def _parse_scenario(raw: Any, pos: int) -> Scenario:
-    obj = _expect(raw, dict, f"scenarios[{pos}]")
-    name = _expect(obj.get("name"), str, f"scenarios[{pos}].name")
-    active = _expect(obj.get("active_apps"), list, f"scenario '{name}': active_apps")
-    comp_raw = _expect(obj.get("comp", {}), dict, f"scenario '{name}': comp")
-    data_raw = _expect(obj.get("data", {}), dict, f"scenario '{name}': data")
-    comp = {
-        _expect(k, str, "comp key"): _expect_number(v, f"scenario '{name}': comp['{k}']")
-        for k, v in comp_raw.items()
-    }
-    data = {
-        _parse_channel_key(k, f"scenario '{name}'"): _expect_number(v, f"scenario '{name}': data['{k}']")
-        for k, v in data_raw.items()
-    }
+def _parse_channel_key(key: str, scenario: str) -> tuple[str, str]:
+    channel = _split_channel_key(key)
+    if channel is None:
+        raise _err(
+            f"scenario '{scenario}': malformed channel key '{key}' (expected 'from{CHANNEL_KEY_SEP}to')"
+        )
+    return channel
+
+
+def _channel_keys(applications: Iterable[Application]) -> dict[str, tuple[str, str]]:
+    """Every declared channel by its ``from->to`` key; a key that would not
+    split back into its channel (an endpoint name holds the separator) stays
+    out, so it still parses as malformed."""
+    keys = {}
+    for app in applications:
+        for channel in app.channels:
+            key = CHANNEL_KEY_SEP.join(channel)
+            if _split_channel_key(key) == channel:
+                keys[key] = channel
+    return keys
+
+
+def _parse_scenario(raw: Any, pos: int, channel_of: dict[str, tuple[str, str]]) -> Scenario:
+    obj = _expect(raw, dict, "scenarios[{}]", pos)
+    name = _expect(obj.get("name"), str, "scenarios[{}].name", pos)
+    active = _expect(obj.get("active_apps"), list, "scenario '{}': active_apps", name)
+    comp_raw = _expect(obj.get("comp", {}), dict, "scenario '{}': comp", name)
+    data_raw = _expect(obj.get("data", {}), dict, "scenario '{}': data", name)
+    # bulk acceptance: every demand a number that fits a double, every data
+    # key a declared channel's; else the per-item pass names the first fault
+    comp = data = None
+    if {*map(type, comp_raw.values()), *map(type, data_raw.values())} <= {int, float}:
+        try:
+            comp = dict(zip(comp_raw, map(float, comp_raw.values())))
+            data = dict(zip(map(channel_of.get, data_raw), map(float, data_raw.values())))
+        except OverflowError:  # an integer beyond the largest double
+            pass
+    if data is None or None in data:
+        comp = {k: _expect_number(v, "scenario '{}': comp['{}']", name, k) for k, v in comp_raw.items()}
+        data = {
+            _parse_channel_key(k, name): _expect_number(v, "scenario '{}': data['{}']", name, k)
+            for k, v in data_raw.items()
+        }
     unknown = set(obj) - {"name", "active_apps", "comp", "data"}
     if unknown:
         raise _err(f"scenario '{name}': unknown key '{sorted(unknown)[0]}'")
-    return Scenario(
-        name=name,
-        active_apps=frozenset(_expect(a, str, "active_apps entry") for a in active),
-        comp=comp,
-        data=data,
-    )
+    _expect_strings(active, "active_apps entry")
+    return Scenario(name=name, active_apps=frozenset(active), comp=comp, data=data)
 
 
 def parse_config(text: str) -> SystemSpec:
     """Parse and validate a configuration document.
 
     Raises ConfigSyntaxError for malformed JSON (with line/column) and
-    ConfigSemanticError for schema or invariant violations.
+    ConfigSemanticError for schema or invariant violations, naming the key.
+    Only the first fault is reported: a first pass over the document, in
+    document order, checks the shape and types of every entry, including
+    that each number fits a double; a second pass checks the model
+    invariants in the same order. In both passes, bulk checks accept all of
+    a scenario's demands at once; only a scenario that fails one is checked
+    item by item, which names the offender.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # an integer literal beyond the int-from-string digit limit
+        raise _err("configuration document: number does not fit a double") from None
     obj = _expect(doc, dict, "configuration document")
     for key in ("applications", "architecture", "scenarios"):
         if key not in obj:
@@ -366,10 +439,13 @@ def parse_config(text: str) -> SystemSpec:
         raise _err(f"unknown top-level key '{sorted(unknown)[0]}'")
     apps = _expect(obj["applications"], list, "applications")
     scens = _expect(obj["scenarios"], list, "scenarios")
+    applications = tuple(_parse_application(a, i) for i, a in enumerate(apps))
+    architecture = _parse_architecture(obj["architecture"])
+    channel_of = _channel_keys(applications)
     spec = SystemSpec(
-        applications=tuple(_parse_application(a, i) for i, a in enumerate(apps)),
-        architecture=_parse_architecture(obj["architecture"]),
-        scenarios=tuple(_parse_scenario(s, i) for i, s in enumerate(scens)),
+        applications=applications,
+        architecture=architecture,
+        scenarios=tuple(_parse_scenario(s, i, channel_of) for i, s in enumerate(scens)),
     )
     spec.validate()
     return spec

@@ -41,6 +41,27 @@ def test_eval_one_in_a_child_interpreter(config_path):
     assert proc.stdout.splitlines()[0] == "s0: makespan=70.0 energy=115.0"
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--genes", "0,1"], ["explore", "--generations", "1"]])
+def test_integer_beyond_a_double_is_a_config_error(tmp_path, command):
+    # a 400-digit demand is a config error that names its key, not a traceback
+    cfg = two_proc_config()
+    cfg["scenarios"][0]["comp"]["A"] = 10**399
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(sdse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdse", *command, "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: scenario 's0': comp['A']: number does not fit a double\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import sdse
 from sdse.evaluator import (
     _FNV_OFFSET,
     _SYNTH_SEED,
@@ -464,6 +469,37 @@ def test_synthetic_job_deterministic():
 def test_synthetic_job_rejects_negative():
     with pytest.raises(ValueError):
         synthetic_job(-1)
+
+
+def test_explore_process_builds_no_synthetic_job_state(two_proc_spec):
+    # the 1 MiB block and OpenSSL's hashlib are built and loaded only for
+    # synthetic jobs, never by importing sdse or running the explorer
+    code = textwrap.dedent(
+        """
+        import json, sys
+        import sdse
+        from sdse.evaluator import _synth_parts, make_mapping_executor
+        from sdse.selector import StaticSubsetProvider
+        from sdse.workpool import make_pool
+
+        spec = sdse.parse_config(sys.stdin.read())
+        params = sdse.GaParams(generations=3, population_size=8, seed=1)
+        with make_pool("lockless", 2, make_mapping_executor(spec)) as pool:
+            sdse.run_explorer(spec, params, StaticSubsetProvider(spec), pool)
+        print(json.dumps(["_hashlib" in sys.modules, _synth_parts.cache_info().currsize]))
+        """
+    )
+    src = str(Path(sdse.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=render_config(two_proc_spec),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, 0]
 
 
 def test_calibrated_cost_hits_one_millisecond():
