@@ -20,7 +20,7 @@ from typing import Sequence
 from . import bench as bench_mod
 from .evaluator import _aggregate_costs, _mapping_costs, make_mapping_executor
 from .explorer import GaParams, GenerationStats, brute_force_optimum, run_explorer
-from .model import ConfigError, Mapping, parse_config_file
+from .model import ConfigError, Mapping, load_json_file, parse_config_file
 from .selector import (
     SelectorLogRow,
     SelectorService,
@@ -161,7 +161,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--subset-size", type=int, default=0, help="scenario subset size k; 0 = full set")
     p.add_argument("--selector-method", choices=("sfs", "sbs"), default="sfs")
     p.add_argument("--aggregate", choices=("average", "worst"), default="average")
-    p.add_argument("--queue", choices=("lockless", "locked"), default="lockless")
     p.add_argument("--out", default=".", help="directory for history/selector-log/best-mapping files")
     p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
 
@@ -216,7 +215,7 @@ def _cmd_explore(args) -> int:
         provider = StaticSubsetProvider(spec)
     else:
         provider = SelectorService(spec, k, aggregate=args.aggregate, method=args.selector_method)
-    pool = make_pool(args.queue, workers, executor)
+    pool = make_pool("lockless", workers, executor)
     try:
         result = run_explorer(spec, params, provider, pool)
     finally:
@@ -270,13 +269,7 @@ def _cmd_select_subset(args) -> int:
     spec = parse_config_file(args.config)
     if not 1 <= args.k <= len(spec.scenarios):
         raise UsageError(f"-k must be in 1..{len(spec.scenarios)}, got {args.k}")
-    with open(args.training, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"training file '{args.training}': line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+    doc = load_json_file(args.training, "training file")
     gene_lists = doc.get("mappings") if isinstance(doc, dict) else None
     if not isinstance(gene_lists, list) or not gene_lists:
         raise ConfigError(f"training file '{args.training}' must contain a 'mappings' list")
@@ -294,6 +287,8 @@ def _cmd_select_subset(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"training file '{args.training}': mappings[{i}]: {exc}") from None
         training.offer(spec, mapping, args.aggregate)
+    if len(training) < 2:
+        raise ConfigError(f"training file '{args.training}' must contain at least 2 distinct mappings")
     snap = select_subset(spec, training, args.k, method=args.method, aggregate=args.aggregate)
     indices = ",".join(str(i) for i in snap.indices)
     print(f"subset: indices={indices} tau={snap.tau!r} training_size={len(training)}")

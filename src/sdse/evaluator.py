@@ -23,8 +23,13 @@ pool's ``worker_session`` hook: the thread only forwards the job and waits
 on a pipe without the GIL, so N workers evaluate on N cores. Without fork,
 the worker threads evaluate in process (:class:`MappingExecutor`), holding
 the GIL while they do. Results travel as exact doubles, so both give
-bit-identical fitness. The child plumbing (:class:`ForkedChild`) also
-serves the subset selector's helper process.
+bit-identical fitness.
+
+Every forked child, the pool's and the subset selector's helper alike,
+runs one serve loop (:func:`_serve`) over one request form, whose kind
+names the reply: a pool job's aggregated fitness (``FITNESS``), per-scenario
+costs (``COSTS``) or a search step's taus (``TAUS``). Only a child told that
+another request follows busy-polls for it; the pool's children never are.
 
 The synthetic job body is a SHA-256 hash chain over a fixed 1 MiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
@@ -270,11 +275,16 @@ def alloc_churn_job(rounds: int, block_sizes: Sequence[int] = DEFAULT_CHURN_SIZE
 
 MappingJob = tuple[tuple[int, ...], tuple[int, ...]]  # (genes, scenario indices)
 
-# seconds a child may spend on one job before it is killed and the job fails
+# seconds a child may spend on one request before it is killed and the request fails
 CHILD_JOB_TIMEOUT_S = 60.0
 
-_REQUEST = struct.Struct("<ii")  # gene count, subset size; then that many int32s
-_REPLY = struct.Struct("<BI")  # 0 = fitness, 1 = error text; payload bytes (see _reply)
+# A request to a child is a _REQUEST header, then int32 runs A and B and a run
+# of doubles, of the lengths the header gives. Its kind names the reply:
+FITNESS = 0  # A = genes, B = subset: the exact doubles (value, energy)
+COSTS = 1  # A = gene vectors back to back, B = subset: (makespan, energy) per vector and scenario
+TAUS = 2  # A = scenarios taken, B = candidates, doubles = a pass's rows and values: one tau per candidate
+_REQUEST = struct.Struct("<BBiii")  # kind, another request follows, lengths of A, B and the doubles
+_REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes (see _reply)
 _FITNESS = struct.Struct("<dd")  # value, energy
 
 
@@ -320,39 +330,77 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
     return MappingExecutor(spec, aggregate)
 
 
-class ForkedChild:
+class EvaluationChild:
     """A persistent forked child process that answers requests over a pair
-    of pipes, one at a time: the plumbing of :class:`EvaluationChild` and of
-    the subset selector's helper.
+    of pipes, one at a time: one pool worker's session, and the base of the
+    subset selector's helper.
 
     Lifecycle: the child is forked by the first request, after the spec has
     been compiled here, so it inherits the compiled form. It closes every
-    inherited descriptor except its two pipe ends, runs only :meth:`_serve`
+    inherited descriptor except its two pipe ends, runs only :func:`_serve`
     and ends with ``os._exit``, so it never returns into the caller's stack.
-    A serve loop takes no lock, imports nothing and does no I/O but its
+    The serve loop takes no lock, imports nothing and does no I/O but its
     pipes, so a lock another thread held at the fork cannot block it. Each
     reply is a ``_REPLY`` header and its payload (see :func:`_reply`), read
     to its exact length within :data:`CHILD_JOB_TIMEOUT_S`.
 
+    A pool job's error reply becomes the :class:`JobError` in-process
+    evaluation gives.
+
     Failures: a child found dead when a request is sent is replaced and the
     request goes to the new child. A reply that does not come in time, or a
-    child that exits instead, raises; the caller then calls :meth:`stop`,
-    and the next request forks a new child. :meth:`stop` closes the pipes,
-    kills the child and reaps it.
+    child that exits instead, raises (for a job, the pool records a
+    ``JobError``); the child is then stopped, and the next request forks a
+    new one. :meth:`stop` closes the pipes, kills the child and reaps it;
+    leaving the session stops it.
     """
 
-    _what = "child"  # names the child in the errors a reply raises
-    _spin_s = 0.0  # how long a wait for a reply busy-polls before it blocks
+    _what = "evaluation child"  # names the child in the errors a reply raises
+    _spin_s = 0.0  # how long each side busy-polls for a message before it blocks
+    _search_type = None  # builds the search a TAUS request scans (the selector's helper)
 
-    def __init__(self, spec: SystemSpec):
+    def __init__(self, spec: SystemSpec, aggregate: str):
         self._spec = spec
+        self._aggregate = aggregate
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
 
-    def _serve(self, requests: int, replies: int) -> None:
-        """The child's serve loop: answer requests until end of file."""
-        raise NotImplementedError
+    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
+        return self.evaluate
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
+        genes, subset = job
+        try:
+            n_genes, n_subset = len(genes), len(subset)
+            request = struct.pack(f"<BBiii{n_genes + n_subset}i", FITNESS, 0, n_genes, n_subset, 0, *genes, *subset)
+        except struct.error:
+            # no int32 holds it, so no spec accepts it: evaluating here raises
+            # the error the job gives anywhere
+            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
+        try:
+            self._send(request)
+            return self._receive()
+        except BaseException:
+            self.stop()  # a child that hung or died cannot take the next job
+            raise
+
+    def _receive(self) -> "Fitness | JobError":
+        status, payload = self._read_reply()
+        if status:
+            return JobError(payload.decode())
+        value, energy = _FITNESS.unpack(payload)
+        return Fitness(value=value, energy=energy)
+
+    def _receive_values(self) -> "tuple[float, ...] | JobError":
+        """The doubles of a COSTS or TAUS reply, or the error it carries."""
+        status, payload = self._read_reply()
+        if status:
+            return JobError(payload.decode())
+        return struct.unpack(f"<{len(payload) // 8}d", payload)
 
     def _send(self, request: bytes) -> None:
         """Write one request, forking the child first if none runs."""
@@ -404,7 +452,7 @@ class ForkedChild:
                 os.close(fd)
             raise
         if pid == 0:
-            _child_main(self._serve, requests, replies)
+            _child_main(self, requests, replies)
         os.close(requests)
         os.close(replies)
         self._pid, self._to_child, self._from_child = pid, to_child, from_child
@@ -424,59 +472,20 @@ class ForkedChild:
             os.waitpid(pid, 0)
 
 
-class EvaluationChild(ForkedChild):
-    """One pool worker's session: a forked child (:class:`ForkedChild`)
-    that evaluates the worker's jobs, one at a time.
-
-    A job goes to the child as int32s (gene count, subset size, genes,
-    subset) and comes back as the exact doubles (value, energy), or as the
-    ``"Type: message"`` text of the exception the child's evaluation raised,
-    which becomes the same :class:`JobError` in-process evaluation gives.
-    A job whose child dies or takes longer than :data:`CHILD_JOB_TIMEOUT_S`
-    raises (the pool records a ``JobError``), and the next job forks a new
-    child. Leaving the session stops the child.
-    """
-
-    _what = "evaluation child"
-
-    def __init__(self, spec: SystemSpec, aggregate: str):
-        super().__init__(spec)
-        self._aggregate = aggregate
-
-    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
-        return self.evaluate
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
-        genes, subset = job
-        try:
-            n_genes, n_subset = len(genes), len(subset)
-            request = struct.pack(f"<ii{n_genes + n_subset}i", n_genes, n_subset, *genes, *subset)
-        except struct.error:
-            # no int32 holds it, so no spec accepts it: evaluating here raises
-            # the error the job gives anywhere
-            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
-        try:
-            self._send(request)
-            return self._receive()
-        except BaseException:
-            self.stop()  # a child that hung or died cannot take the next job
-            raise
-
-    def _receive(self) -> "Fitness | JobError":
-        status, payload = self._read_reply()
-        if status:
-            return JobError(payload.decode())
-        value, energy = _FITNESS.unpack(payload)
-        return Fitness(value=value, energy=energy)
-
-    def _serve(self, requests: int, replies: int) -> None:
-        _serve(self._spec, self._aggregate, requests, replies)
+def _request(kind: int, a: Sequence[int], b: Sequence[int], doubles: Sequence[float] = (), follows: bool = False) -> bytes:
+    """One request; ``follows`` tells the child that another comes soon."""
+    n, m = len(a) + len(b), len(doubles)
+    return struct.pack(f"<BBiii{n}i{m}d", kind, follows, len(a), len(b), m, *a, *b, *doubles)
 
 
-def _child_main(serve: Callable[[int, int], None], requests: int, replies: int) -> NoReturn:
+def _cost_pairs(values: Sequence[float], n_scen: int) -> list[list[tuple[float, float]]]:
+    """The doubles of a COSTS reply as per-scenario (makespan, energy) pairs,
+    one list per gene vector."""
+    n = 2 * n_scen
+    return [list(zip(values[i : i + n : 2], values[i + 1 : i + n : 2])) for i in range(0, len(values), n)]
+
+
+def _child_main(child: EvaluationChild, requests: int, replies: int) -> NoReturn:
     """The whole life of a forked child."""
     code = 1
     try:
@@ -484,23 +493,56 @@ def _child_main(serve: Callable[[int, int], None], requests: int, replies: int) 
         os.closerange(0, low)
         os.closerange(low + 1, high)
         os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-        serve(requests, replies)
+        _serve(child, requests, replies)
         code = 0
     finally:
         os._exit(code)
 
 
-def _serve(spec: SystemSpec, aggregate: str, requests: int, replies: int) -> None:
-    """Answer jobs in order until the parent closes the request pipe."""
-    while head := _read_exact(requests, _REQUEST.size):
-        n_genes, n_subset = _REQUEST.unpack(head)
-        n = n_genes + n_subset
-        ints = struct.unpack(f"<{n}i", _read_exact(requests, 4 * n))
+def _serve(child: EvaluationChild, requests: int, replies: int) -> None:
+    """Answer requests in order until the parent closes the request pipe,
+    each with exact doubles or the ``"Type: message"`` text of the exception
+    it raised. A TAUS request's doubles set up a pass's search, and its
+    run A keeps that search in step with the parent's."""
+    spec, aggregate = child._spec, child._aggregate
+    n_genes, n_scen = len(spec.processes), len(spec.scenarios)
+    poll = select.poll()
+    poll.register(requests, select.POLLIN)
+    follows = False
+    search = None
+    while True:
+        if follows:
+            _spin(poll, child._spin_s)
+        head = _read_exact(requests, _REQUEST.size)
+        if not head:
+            break
+        kind, follows, n_a, n_b, n_doubles = _REQUEST.unpack(head)
+        n = n_a + n_b
+        payload = _read_exact(requests, 4 * n + 8 * n_doubles)
+        ints = struct.unpack_from(f"<{n}i", payload)
+        a, b = ints[:n_a], ints[n_a:]
         try:
-            fitness = evaluate_mapping(spec, Mapping(genes=ints[:n_genes]), ints[n_genes:], aggregate)
-            reply = _reply(0, _FITNESS.pack(fitness.value, fitness.energy))
+            if kind == FITNESS:
+                fitness = evaluate_mapping(spec, Mapping(genes=a), b, aggregate)
+                reply = _reply(0, _FITNESS.pack(fitness.value, fitness.energy))
+            else:
+                if kind == COSTS:
+                    scenarios = [spec.compiled_scenarios[s] for s in b]
+                    vectors = (Mapping(genes=a[i : i + n_genes]) for i in range(0, n_a, n_genes))
+                    values = [x for m in vectors for cost in _mapping_costs(spec, m, scenarios) for x in cost]
+                else:
+                    if n_doubles:
+                        doubles = struct.unpack_from(f"<{n_doubles}d", payload, 4 * n)
+                        end = n_doubles - n_doubles // (n_scen + 1)  # the rows, then one value per row
+                        rows = [doubles[i : i + n_scen] for i in range(0, end, n_scen)]
+                        search = child._search_type(rows, doubles[end:])
+                    for s in a[len(search.taken) :]:
+                        search.take(s)
+                    values = search.scan(b)
+                reply = _reply(0, struct.pack(f"<{len(values)}d", *values))
         except Exception as exc:
             reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
+            follows = False
         _write_all(replies, reply)
 
 

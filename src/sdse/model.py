@@ -191,6 +191,12 @@ def _nonnegative_finite(values: Collection[float]) -> bool:
     return min(values, default=0.0) >= 0 and math.isfinite(sum(values))
 
 
+def _fault(value: float, below: str = "negative") -> str:
+    """How a value failed its range check: ``below`` the bound (minus
+    infinity too), or "non-finite" (NaN, infinity)."""
+    return "non-finite" if math.isnan(value) or value == math.inf else below
+
+
 def _validate_spec(spec: SystemSpec) -> None:
     seen_apps: set[str] = set()
     seen_procs: set[str] = set()
@@ -224,14 +230,14 @@ def _validate_spec(spec: SystemSpec) -> None:
             raise _err(f"duplicate processor name '{proc.name}'")
         seen_cpu.add(proc.name)
         if not (proc.speed > 0 and math.isfinite(proc.speed)):
-            raise _err(f"processor '{proc.name}': non-positive speed {proc.speed}")
+            raise _err(f"processor '{proc.name}': {_fault(proc.speed, 'non-positive')} speed {proc.speed}")
         if not (proc.power >= 0 and math.isfinite(proc.power)):
-            raise _err(f"processor '{proc.name}': negative power {proc.power}")
+            raise _err(f"processor '{proc.name}': {_fault(proc.power)} power {proc.power}")
     ic = arch.interconnect
     if not (ic.bandwidth > 0 and math.isfinite(ic.bandwidth)):
-        raise _err(f"interconnect: non-positive bandwidth {ic.bandwidth}")
+        raise _err(f"interconnect: {_fault(ic.bandwidth, 'non-positive')} bandwidth {ic.bandwidth}")
     if not (ic.energy_per_unit >= 0 and math.isfinite(ic.energy_per_unit)):
-        raise _err(f"interconnect: negative energy_per_unit {ic.energy_per_unit}")
+        raise _err(f"interconnect: {_fault(ic.energy_per_unit)} energy_per_unit {ic.energy_per_unit}")
 
     if not spec.scenarios:
         raise _err("no scenarios defined")
@@ -270,7 +276,7 @@ def _check_scenario(
         if p not in app_of_proc:
             raise _err(f"scenario '{scen.name}': comp references unknown process '{p}'")
         if not (demand >= 0 and math.isfinite(demand)):
-            raise _err(f"scenario '{scen.name}': negative comp demand for '{p}'")
+            raise _err(f"scenario '{scen.name}': {_fault(demand)} comp demand for '{p}'")
         if demand > 0 and app_of_proc[p] not in scen.active_apps:
             raise _err(
                 f"scenario '{scen.name}': process '{p}' of inactive application "
@@ -284,7 +290,7 @@ def _check_scenario(
             )
         if not (demand >= 0 and math.isfinite(demand)):
             raise _err(
-                f"scenario '{scen.name}': negative data demand for "
+                f"scenario '{scen.name}': {_fault(demand)} data demand for "
                 f"'{ch[0]}{CHANNEL_KEY_SEP}{ch[1]}'"
             )
         if demand > 0 and app_of_chan[ch] not in scen.active_apps:
@@ -415,8 +421,9 @@ def _parse_scenario(raw: Any, pos: int, channel_of: dict[str, tuple[str, str]]) 
 def parse_config(text: str) -> SystemSpec:
     """Parse and validate a configuration document.
 
-    Raises ConfigSyntaxError for malformed JSON (with line/column) and
-    ConfigSemanticError for schema or invariant violations, naming the key.
+    Raises ConfigSyntaxError for malformed JSON (with line/column) or a
+    document nested too deeply to decode, and ConfigSemanticError for
+    schema or invariant violations, naming the key.
     Only the first fault is reported: a first pass over the document, in
     document order, checks the shape and types of every entry, including
     that each number fits a double; a second pass checks the model
@@ -424,12 +431,33 @@ def parse_config(text: str) -> SystemSpec:
     a scenario's demands at once; only a scenario that fails one is checked
     item by item, which names the offender.
     """
+    return _parse_document(_load_json(text))
+
+
+def _load_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigSyntaxError("document nests too deeply") from None
     except ValueError:  # an integer literal beyond the int-from-string digit limit
         raise _err("configuration document: number does not fit a double") from None
+
+
+def load_json_file(path: str, what: str) -> Any:
+    """The JSON document in a UTF-8 file. Bytes that are not UTF-8 or not
+    JSON raise a ConfigError that names the file as ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _load_json(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigSyntaxError(f"{what} '{path}': {exc}") from None
+        except ConfigError as exc:
+            raise type(exc)(f"{what} '{path}': {exc}") from None
+
+
+def _parse_document(doc: Any) -> SystemSpec:
     obj = _expect(doc, dict, "configuration document")
     for key in ("applications", "architecture", "scenarios"):
         if key not in obj:
@@ -452,8 +480,8 @@ def parse_config(text: str) -> SystemSpec:
 
 
 def parse_config_file(path: str) -> SystemSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """:func:`parse_config` on a file; an error in the JSON itself names the file."""
+    return _parse_document(load_json_file(path, "config file"))
 
 
 def render_config(spec: SystemSpec) -> str:

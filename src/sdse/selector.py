@@ -24,7 +24,8 @@ explorer generations over the training candidates offered since the last
 one, so whole runs are reproducible. An exception raised by a pass
 propagates to the explorer's caller. Where a second CPU is free, the
 service splits each pass with one forked selector helper
-(:class:`_SelectionHelper`): the helper evaluates half of the new training
+(:class:`_SelectionHelper`), an evaluation child that also scans: through
+the evaluator's one request form, it evaluates half of the new training
 mappings and scores half of each step's candidates with the same code, and
 exact doubles carry its results back, so a split pass publishes exactly
 what a serial one does.
@@ -36,8 +37,6 @@ import contextlib
 import functools
 import operator
 import os
-import select
-import struct
 import time
 import weakref
 from collections import OrderedDict
@@ -48,18 +47,19 @@ from typing import Callable, Iterable, Sequence
 
 from .evaluator import (
     AGGREGATES,
+    COSTS,
+    TAUS,
+    EvaluationChild,
     Fitness,
-    ForkedChild,
     _aggregate_costs,
+    _cost_pairs,
     _mapping_costs,
-    _read_exact,
-    _reply,
-    _spin,
-    _write_all,
+    _request,
     aggregate_values,
     full_subset,
 )
 from .model import Mapping, SystemSpec
+from .workpool import JobError
 
 SELECTION_METHODS = ("sfs", "sbs")
 TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
@@ -511,21 +511,17 @@ def _helper_available() -> bool:
 # next message within a pass before a blocking wait, whose wake-up would
 # cost a good part of a search step's share of the work
 _HELPER_SPIN_S = 1e-3
-_EVALUATE, _SCAN = 0, 1  # helper request kinds
-_MESSAGE = struct.Struct("<BI")  # request kind, payload bytes
-_SCAN_HEAD = struct.Struct("<ii")  # training rows sent (0 after a pass's first scan), takes
 
 
-class _SelectionHelper(ForkedChild):
-    """The selector's forked helper: it runs the later half of a pass's
-    work lists with the same functions this thread runs on the first half.
+class _SelectionHelper(EvaluationChild):
+    """The selector's forked helper: an evaluation child that also scans,
+    running the later half of a pass's work lists with the same functions
+    this thread runs on the first half.
 
-    :meth:`evaluate` splits the pass's new training mappings; the helper
-    replies with their exact per-scenario (makespan, energy) doubles.
-    :meth:`scan` splits each search step's candidates. A pass's first scan
-    request carries its makespan rows and full-set fitness values, and every
-    scan request carries the candidates taken so far, so the helper keeps a
-    copy of the pass's search in step; it replies with exact ``<d`` taus.
+    :meth:`costs` sends the pass's new training mappings as a ``COSTS``
+    request. :meth:`scan` sends each search step's candidates as a ``TAUS``
+    request; the pass's first one carries its makespan rows and full-set
+    fitness values, so the helper keeps a copy of the pass's search in step.
 
     Unavailable (see :func:`_helper_available`), every list runs whole on
     this thread. If the helper fails during a pass (it dies, exceeds
@@ -538,10 +534,8 @@ class _SelectionHelper(ForkedChild):
     _spin_s = _HELPER_SPIN_S
 
     def __init__(self, spec: SystemSpec, method: str, aggregate: str, k: int):
-        super().__init__(spec)
-        self._method = method
-        self._aggregate = aggregate
-        self._k = k
+        super().__init__(spec, aggregate)
+        self._search_type = functools.partial(_SEARCHES[method], aggregate=aggregate, k=k)
         self._available = _helper_available()
         self._active = False  # the helper takes part in the current pass
         self._pinned = False  # _pin() ran in the current pass
@@ -574,40 +568,28 @@ class _SelectionHelper(ForkedChild):
             os.sched_setaffinity(0, mask - {cpu})
             self._mask = mask
 
-    def evaluate(self, mappings: list[Mapping]) -> list[list[tuple[float, float]]]:
+    def costs(self, mappings: list[Mapping]) -> list[list[tuple[float, float]]]:
         """Per-scenario costs of each mapping on the full set, in order."""
         spec = self._spec
-        n = 2 * len(spec.scenarios)
-
-        def run(part: list[Mapping]) -> list[list[tuple[float, float]]]:
-            return [_mapping_costs(spec, m, spec.compiled_scenarios) for m in part]
-
-        def request(part: list[Mapping]) -> bytes:
-            genes = [g for m in part for g in m.genes]
-            return _request(_EVALUATE, struct.pack(f"<{len(genes)}i", *genes))
-
-        def decode(values: Sequence[float]) -> list[list[tuple[float, float]]]:
-            return [list(zip(values[i : i + n : 2], values[i + 1 : i + n : 2])) for i in range(0, len(values), n)]
-
-        return self._split(mappings, run, request, decode)
+        full = full_subset(spec)
+        return self._split(
+            mappings,
+            lambda part: [_mapping_costs(spec, m, spec.compiled_scenarios) for m in part],
+            lambda part: _request(COSTS, [g for m in part for g in m.genes], full, follows=True),
+            functools.partial(_cost_pairs, n_scen=len(full)),
+        )
 
     def scan(self, search, candidates: list[int]) -> list[float]:
         """The taus ``search.scan(candidates)`` gives, the later half of
         them scored by the helper."""
+        return self._split(candidates, search.scan, functools.partial(self._scan_request, search), list)
 
-        def request(part: list[int]) -> bytes:
-            payload = b""
-            rows = 0
-            if self._search is not search:
-                self._search = search
-                rows = len(search.rows)
-                doubles = [x for row in search.rows for x in row] + list(search.values)
-                payload = struct.pack(f"<{len(doubles)}d", *doubles)
-            ints = search.taken + part
-            head = _SCAN_HEAD.pack(rows, len(search.taken))
-            return _request(_SCAN, head + payload + struct.pack(f"<{len(ints)}i", *ints))
-
-        return self._split(candidates, search.scan, request, list)
+    def _scan_request(self, search, part: list[int]) -> bytes:
+        doubles = ()
+        if self._search is not search:  # the pass's first scan request
+            self._search = search
+            doubles = [x for row in search.rows for x in row] + list(search.values)
+        return _request(TAUS, search.taken, part, doubles, follows=search.steps_left() > 1)
 
     def _split(self, items: list, run: Callable, request: Callable, decode: Callable) -> list:
         """``run(items)``, the later half of the items sent to the helper as
@@ -638,73 +620,18 @@ class _SelectionHelper(ForkedChild):
     def _reply_values(self) -> tuple[float, ...] | None:
         """The doubles of the helper's reply, or None if it failed."""
         try:
-            status, payload = self._read_reply()
+            values = self._receive_values()
         except OSError:  # it died or hung
-            status = 1
-        if status:
+            values = None
+        if values is None or isinstance(values, JobError):
             self._fail()
             return None
-        return struct.unpack(f"<{len(payload) // 8}d", payload)
+        return values
 
     def _fail(self) -> None:
         """Stop the helper and run the rest of the pass on this thread."""
         self.stop()
         self._active = False
-
-    def _serve(self, requests: int, replies: int) -> None:
-        _serve_selection(self._spec, self._method, self._aggregate, self._k, requests, replies)
-
-
-def _request(kind: int, payload: bytes) -> bytes:
-    return _MESSAGE.pack(kind, len(payload)) + payload
-
-
-def _serve_selection(
-    spec: SystemSpec, method: str, aggregate: str, k: int, requests: int, replies: int
-) -> None:
-    """The selector helper's serve loop: answer requests in order until the
-    parent closes the request pipe. A reply holds exact doubles, or the
-    ``"Type: message"`` text of the exception a request raised. While the
-    pass has a further step to scan, the wait for its request busy-polls
-    first."""
-    n_genes, n_scen = len(spec.processes), len(spec.scenarios)
-    search = None
-    poll = select.poll()
-    poll.register(requests, select.POLLIN)
-    more = False  # another request of this pass is on its way
-    while True:
-        if more:
-            _spin(poll, _HELPER_SPIN_S)
-        head = _read_exact(requests, _MESSAGE.size)
-        if not head:
-            break
-        kind, size = _MESSAGE.unpack(head)
-        payload = _read_exact(requests, size)
-        try:
-            if kind == _EVALUATE:
-                genes = struct.unpack(f"<{size // 4}i", payload)
-                results = []
-                for i in range(0, len(genes), n_genes):
-                    for costs in _mapping_costs(spec, Mapping(genes=genes[i : i + n_genes]), spec.compiled_scenarios):
-                        results += costs
-            else:
-                rows, n_taken = _SCAN_HEAD.unpack_from(payload)
-                offset = _SCAN_HEAD.size
-                if rows:
-                    doubles = struct.unpack_from(f"<{rows * (n_scen + 1)}d", payload, offset)
-                    offset += 8 * len(doubles)
-                    matrix = [doubles[i : i + n_scen] for i in range(0, rows * n_scen, n_scen)]
-                    search = _SEARCHES[method](matrix, doubles[rows * n_scen :], aggregate, k)
-                ints = struct.unpack_from(f"<{(size - offset) // 4}i", payload, offset)
-                for candidate in ints[len(search.taken) : n_taken]:
-                    search.take(candidate)
-                results = search.scan(ints[n_taken:])
-            reply = _reply(0, struct.pack(f"<{len(results)}d", *results))
-            more = kind == _EVALUATE or search.steps_left() > 1
-        except Exception as exc:
-            reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
-            more = False
-        _write_all(replies, reply)
 
 
 class SelectorService:
@@ -778,7 +705,7 @@ class SelectorService:
                 fresh[mapping.genes] = mapping
         helper.begin_pass()
         try:
-            costs = dict(zip(fresh, helper.evaluate(list(fresh.values()))))
+            costs = dict(zip(fresh, helper.costs(list(fresh.values()))))
             for mapping in pending:
                 training.offer(spec, mapping, self._aggregate, costs.get(mapping.genes))
             if len(training) < 2:

@@ -12,7 +12,6 @@ import os
 import random
 import select
 import signal
-import struct
 import threading
 import time
 
@@ -102,9 +101,10 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
     requests, to_child = os.pipe()
     from_child, replies = os.pipe()
     for genes, subset in jobs:
-        os.write(to_child, struct.pack(f"<ii{len(genes) + len(subset)}i", len(genes), len(subset), *genes, *subset))
+        os.write(to_child, evaluator._request(evaluator.FITNESS, genes, subset))
     os.close(to_child)
-    evaluator._serve(two_proc_spec, "average", requests, replies)  # answers all four, then sees EOF
+    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    evaluator._serve(session, requests, replies)  # answers all four, then sees EOF
     os.close(requests)
     os.close(replies)
     reads = []
@@ -115,7 +115,6 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
         return real_read(fd, n)
 
     monkeypatch.setattr(os, "read", counting_read)
-    session = evaluator.EvaluationChild(two_proc_spec, "average")
     session._from_child = from_child
     session._poll = select.poll()
     session._poll.register(from_child, select.POLLIN)
@@ -133,6 +132,37 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
     fitness_read = evaluator._REPLY.size + evaluator._FITNESS.size
     assert reads[0] == reads[-1] == fitness_read and reads.count(fitness_read) == 4
     assert len(reads) == 5  # one more read for the long error text only
+
+
+def test_a_pool_job_is_a_fitness_request(two_proc_spec, monkeypatch):
+    # the pool's per-job bytes are the one request form every child reads
+    sent = []
+    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
+    monkeypatch.setattr(evaluator.EvaluationChild, "_receive", lambda self: None)
+    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    for genes, subset in [((0, 1), (0,)), ((1, 0, 1), ()), ((), (2, 0))]:
+        session.evaluate((genes, subset))
+        assert sent.pop() == evaluator._request(evaluator.FITNESS, genes, subset)
+
+
+def test_one_child_answers_fitness_and_cost_requests_in_order():
+    rng = random.Random(17)
+    spec, _ = random_float_spec(rng)
+    mappings = _oracle_mappings(spec, rng)[:3]
+    subset = tuple(rng.sample(range(len(spec.scenarios)), len(spec.scenarios)))
+    genes = [g for m in mappings for g in m.genes]
+    session = evaluator.EvaluationChild(spec, "worst")
+    try:
+        session._send(evaluator._request(evaluator.COSTS, genes, subset) + evaluator._request(evaluator.TAUS, (), (0,)))
+        costs = evaluator._cost_pairs(session._receive_values(), len(subset))
+        compiled = [spec.compiled_scenarios[s] for s in subset]
+        assert costs == [evaluator._mapping_costs(spec, m, compiled) for m in mappings]
+        # a pool child has no search to scan: it replies with an error and keeps serving
+        assert isinstance(session._receive_values(), JobError)
+        assert session.evaluate((mappings[0].genes, subset)) == evaluate_mapping(spec, mappings[0], subset, "worst")
+    finally:
+        session.stop()
+    assert_no_child_process()
 
 
 def test_results_identical_at_any_worker_count_and_queue_kind():

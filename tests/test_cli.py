@@ -347,6 +347,9 @@ def test_select_subset_bad_training_file(ga_config_path, tmp_path, capsys):
         ('{"mappings": [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 3]]}', "mappings[1]"),
         ('{"mappings": [[0, 0, 0]]}', "mappings[0]"),
         ('{"mappings": [[0, 0, 0, 0, 0, 0]', "line 1, column"),
+        ('{"mappings": [[0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 2]]}', "at least 2 distinct mappings"),
+        ("[" * 100_000, "nests too deeply"),
+        ('{"mappings": [[0, 0, 0, 0, 0, 0]], "note": "\xff"}', "can't decode byte 0xff"),
     ],
     ids=[
         "non-list",
@@ -356,11 +359,14 @@ def test_select_subset_bad_training_file(ga_config_path, tmp_path, capsys):
         "gene-out-of-range",
         "wrong-length",
         "malformed-json",
+        "one-distinct-mapping",
+        "nested-too-deep",
+        "not-utf-8",
     ],
 )
 def test_select_subset_bad_training_entry(ga_config_path, tmp_path, capsys, text, entry):
     training = tmp_path / "bad.json"
-    training.write_text(text)
+    training.write_bytes(text.encode("latin-1"))
     code = main(
         ["select-subset", "--config", ga_config_path, "--training", str(training), "-k", "2"]
     )
@@ -456,6 +462,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["oracle", "--config", str(bad)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, what",
+    [(b"[" * 100_000, "nests too deeply"), (b'{"applications": "\xff"}', "can't decode byte 0xff")],
+    ids=["nested-too-deep", "not-utf-8"],
+)
+def test_unreadable_config_bytes_are_a_config_error_naming_the_file(tmp_path, capsys, content, what):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["evaluate", "--config", str(bad), "--genes", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file '{bad}': ") and what in err
+
+
+def test_explore_has_no_queue_flag(config_path, tmp_path, capsys):
+    # explore always runs on the lockless pool
+    out = tmp_path / "out"
+    assert main(["explore", "--config", config_path, "--queue", "locked", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --queue locked" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_runtime_error(tmp_path, capsys):

@@ -80,6 +80,7 @@ DOCUMENTS = {
     # parse_config
     "syntax": '{"applications": [,]}',
     "syntax-empty": "",
+    "nested-too-deep": "[" * 100_000,
     "document-list": "[]",
     "missing-applications": _doc(lambda c: c.pop("applications")),
     "missing-architecture": _doc(lambda c: c.pop("architecture")),
@@ -236,10 +237,13 @@ DOCUMENTS = {
 
 
 # id -> (exception type, message) for faulty documents, "ok <digest>" for
-# valid ones; recorded before the bulk-validating parser
+# valid ones; recorded before the bulk-validating parser, except that a NaN
+# or infinite value now reads "non-finite" where it read "negative" or
+# "non-positive"
 EXPECTED: dict[str, object] = {
     'syntax': ('ConfigSyntaxError', 'line 1, column 19: Expecting value'),
     'syntax-empty': ('ConfigSyntaxError', 'line 1, column 1: Expecting value'),
+    'nested-too-deep': ('ConfigSyntaxError', 'document nests too deeply'),
     'document-list': ('ConfigSemanticError', 'configuration document: expected dict, got list'),
     'missing-applications': ('ConfigSemanticError', "missing top-level key 'applications'"),
     'missing-architecture': ('ConfigSemanticError', "missing top-level key 'architecture'"),
@@ -303,31 +307,31 @@ EXPECTED: dict[str, object] = {
     'duplicate-processor': ('ConfigSemanticError', "duplicate processor name 'cpu0'"),
     'speed-zero': ('ConfigSemanticError', "processor 'cpu0': non-positive speed 0.0"),
     'speed-negative': ('ConfigSemanticError', "processor 'cpu1': non-positive speed -2.5"),
-    'speed-nan': ('ConfigSemanticError', "processor 'cpu0': non-positive speed nan"),
-    'speed-infinity': ('ConfigSemanticError', "processor 'cpu0': non-positive speed inf"),
-    'speed-float-overflow': ('ConfigSemanticError', "processor 'cpu0': non-positive speed inf"),
+    'speed-nan': ('ConfigSemanticError', "processor 'cpu0': non-finite speed nan"),
+    'speed-infinity': ('ConfigSemanticError', "processor 'cpu0': non-finite speed inf"),
+    'speed-float-overflow': ('ConfigSemanticError', "processor 'cpu0': non-finite speed inf"),
     'power-negative': ('ConfigSemanticError', "processor 'cpu0': negative power -1.0"),
-    'power-nan': ('ConfigSemanticError', "processor 'cpu0': negative power nan"),
+    'power-nan': ('ConfigSemanticError', "processor 'cpu0': non-finite power nan"),
     'power-minus-infinity': ('ConfigSemanticError', "processor 'cpu0': negative power -inf"),
     'bandwidth-zero': ('ConfigSemanticError', 'interconnect: non-positive bandwidth 0.0'),
-    'bandwidth-infinity': ('ConfigSemanticError', 'interconnect: non-positive bandwidth inf'),
+    'bandwidth-infinity': ('ConfigSemanticError', 'interconnect: non-finite bandwidth inf'),
     'energy-per-unit-negative': ('ConfigSemanticError', 'interconnect: negative energy_per_unit -0.5'),
-    'energy-per-unit-nan': ('ConfigSemanticError', 'interconnect: negative energy_per_unit nan'),
+    'energy-per-unit-nan': ('ConfigSemanticError', 'interconnect: non-finite energy_per_unit nan'),
     'no-scenarios': ('ConfigSemanticError', 'no scenarios defined'),
     'duplicate-scenario': ('ConfigSemanticError', "duplicate scenario name 's0'"),
     'unknown-active-application': ('ConfigSemanticError', "scenario 's0': unknown application 'ghost'"),
     'comp-unknown-process': ('ConfigSemanticError', "scenario 's0': comp references unknown process 'PX'"),
     'comp-unknown-process-zero': ('ConfigSemanticError', "scenario 's0': comp references unknown process 'PX'"),
     'comp-negative': ('ConfigSemanticError', "scenario 's0': negative comp demand for 'A'"),
-    'comp-nan': ('ConfigSemanticError', "scenario 's0': negative comp demand for 'B'"),
-    'comp-infinity': ('ConfigSemanticError', "scenario 's0': negative comp demand for 'A'"),
+    'comp-nan': ('ConfigSemanticError', "scenario 's0': non-finite comp demand for 'B'"),
+    'comp-infinity': ('ConfigSemanticError', "scenario 's0': non-finite comp demand for 'A'"),
     'comp-float-overflow': ('ConfigSemanticError', "scenario 's0': negative comp demand for 'A'"),
     'comp-inactive': ('ConfigSemanticError', "scenario 's0': process 'C' of inactive application 'app1' has non-zero comp demand"),
     'data-unknown-channel': ('ConfigSemanticError', "scenario 's0': data references unknown channel 'B->A'"),
     'data-unknown-channel-zero': ('ConfigSemanticError', "scenario 's0': data references unknown channel 'B->A'"),
     'data-unknown-process': ('ConfigSemanticError', "scenario 's0': data references unknown channel 'A->Z'"),
     'data-negative': ('ConfigSemanticError', "scenario 's0': negative data demand for 'A->B'"),
-    'data-nan': ('ConfigSemanticError', "scenario 's0': negative data demand for 'A->B'"),
+    'data-nan': ('ConfigSemanticError', "scenario 's0': non-finite data demand for 'A->B'"),
     'data-minus-infinity': ('ConfigSemanticError', "scenario 's0': negative data demand for 'A->B'"),
     'data-inactive': ('ConfigSemanticError', "scenario 's0': channel 'C->D' of inactive application 'app1' has non-zero data demand"),
     'all-inactive': ('ConfigSemanticError', "scenario 's0': process 'A' of inactive application 'app0' has non-zero comp demand"),

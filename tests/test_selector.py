@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import sdse.evaluator as evaluator_mod
 import sdse.selector as selector_mod
 from sdse.evaluator import (
     AGGREGATES,
@@ -655,6 +656,7 @@ def _counting_scenario_cost(monkeypatch, tmp_path):
         return costs
 
     monkeypatch.setattr(selector_mod, "_mapping_costs", counting)
+    monkeypatch.setattr(evaluator_mod, "_mapping_costs", counting)  # the helper's serve loop
     return lambda: sum(map(int, log.read_text().split()))
 
 
