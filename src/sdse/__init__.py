@@ -48,7 +48,6 @@ from .selector import (
     TrainingSet,
     kendall_tau,
     select_subset,
-    select_subset_sfs,
 )
 from .workpool import (
     BatchInFlightError,

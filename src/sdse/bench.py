@@ -106,6 +106,8 @@ class BenchConfig:
     def __post_init__(self):
         if not self.workers or any(w < 1 for w in self.workers):
             raise ValueError("workers list must be non-empty with every count >= 1")
+        if len(set(self.workers)) < len(self.workers):
+            raise ValueError(f"workers list must not repeat a count, got {self.workers}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.job_cost is not None and self.job_cost < 0:

@@ -18,17 +18,18 @@ from dataclasses import fields
 from typing import Sequence
 
 from . import bench as bench_mod
-from .evaluator import _aggregate_costs, _mapping_costs, make_mapping_executor
+from .evaluator import AGGREGATES, _aggregate_costs, _mapping_costs, make_mapping_executor
 from .explorer import GaParams, GenerationStats, brute_force_optimum, run_explorer
 from .model import ConfigError, Mapping, load_json_file, parse_config_file
 from .selector import (
+    SELECTION_METHODS,
     SelectorLogRow,
     SelectorService,
     StaticSubsetProvider,
     TrainingSet,
     select_subset,
 )
-from .workpool import make_pool
+from .workpool import QUEUE_KINDS, make_pool
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,6 +120,7 @@ _FLAG_OF_FIELD = {
     "job_cost": "--cost",
     "repeats": "--repeat",
     "warmup_jobs": "--warmup",
+    "spec": "--config",
 }
 _FIELD_NAME = re.compile(r"\b(" + "|".join(_FLAG_OF_FIELD) + r")\b")
 
@@ -159,32 +161,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--generations", type=int, default=50)
     p.add_argument("--population", type=int, default=32)
     p.add_argument("--subset-size", type=int, default=0, help="scenario subset size k; 0 = full set")
-    p.add_argument("--selector-method", choices=("sfs", "sbs"), default="sfs")
-    p.add_argument("--aggregate", choices=("average", "worst"), default="average")
+    p.add_argument("--selector-method", choices=SELECTION_METHODS, default="sfs")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="average")
     p.add_argument("--out", default=".", help="directory for history/selector-log/best-mapping files")
     p.add_argument("--no-timing", action="store_true", help="write timing columns as zero")
 
     p = sub.add_parser("evaluate", help="evaluate one mapping, printing per-scenario metrics")
     p.add_argument("--config", required=True)
     p.add_argument("--genes", required=True)
-    p.add_argument("--aggregate", choices=("average", "worst"), default="average")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="average")
 
     p = sub.add_parser("oracle", help="brute-force optimum over the full scenario set")
     p.add_argument("--config", required=True)
-    p.add_argument("--aggregate", choices=("average", "worst"), default="average")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="average")
     p.add_argument("--cap", type=int, default=10**6)
 
     p = sub.add_parser("select-subset", help="one subset-selection pass over a training file")
     p.add_argument("--config", required=True)
     p.add_argument("--training", required=True, help="JSON file: {\"mappings\": [[genes...], ...]}")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--method", choices=("sfs", "sbs"), default="sfs")
-    p.add_argument("--aggregate", choices=("average", "worst"), default="average")
+    p.add_argument("--method", choices=SELECTION_METHODS, default="sfs")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="average")
 
     p = sub.add_parser("bench", help="run the scaling benchmark")
     p.add_argument("--jobs", type=int, default=10000)
     p.add_argument("--workers", default=None, help="comma-separated worker counts")
-    p.add_argument("--queue", choices=("lockless", "locked", "both"), default="lockless")
+    p.add_argument("--queue", choices=(*QUEUE_KINDS, "both"), default="lockless")
     p.add_argument("--job-kind", choices=bench_mod.JOB_KINDS, default="synthetic")
     p.add_argument("--cost", type=int, default=None, help="synthetic iterations / churn rounds")
     p.add_argument("--repeat", type=int, default=6)
@@ -210,6 +212,7 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         population_size=args.population,
     )
+    os.makedirs(args.out, exist_ok=True)
     executor = make_mapping_executor(spec, args.aggregate)
     if k == 0 or k == len(spec.scenarios):
         provider = StaticSubsetProvider(spec)
@@ -222,7 +225,6 @@ def _cmd_explore(args) -> int:
         provider.stop()
         pool.shutdown()
 
-    os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.csv")
     _write_csv(history_path, _columns(GenerationStats), result.history, args.no_timing)
     log_path = os.path.join(args.out, "selector_log.csv")
@@ -255,6 +257,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {args.cap}")
     spec = parse_config_file(args.config)
     result = brute_force_optimum(spec, aggregate=args.aggregate, cap=args.cap)
     genes = ",".join(str(g) for g in result.mapping.genes)
@@ -296,7 +300,7 @@ def _cmd_select_subset(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    queue_kinds = ("lockless", "locked") if args.queue == "both" else (args.queue,)
+    queue_kinds = QUEUE_KINDS if args.queue == "both" else (args.queue,)
     if args.workers is None:
         avail = bench_mod.available_parallelism()
         ladder = sorted({w for w in (1, 2, 4, 8, 16) if w <= avail} | {avail})

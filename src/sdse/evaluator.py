@@ -82,10 +82,6 @@ class Fitness:
         """Sentinel for a failed evaluation: worst possible value."""
         return cls(value=math.inf, energy=math.inf)
 
-    @property
-    def is_error(self) -> bool:
-        return math.isinf(self.value)
-
 
 def scenario_metrics(spec: SystemSpec, mapping: Mapping, scenario) -> ScenarioMetrics:
     """Makespan and energy of one scenario under one mapping.
@@ -152,7 +148,12 @@ def aggregate_values(values: Sequence[float], aggregate: str) -> float:
         return math.fsum(values) / len(values)
     if aggregate == "worst":
         return max(values)
-    raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
+    raise _unknown_aggregate(aggregate)
+
+
+def _unknown_aggregate(aggregate: str) -> ValueError:
+    """The error for an aggregate not in :data:`AGGREGATES`."""
+    return ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
 
 
 def evaluate_mapping(
@@ -324,7 +325,7 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
     for a bad job.
     """
     if aggregate not in AGGREGATES:
-        raise ValueError(f"unknown aggregate '{aggregate}'")
+        raise _unknown_aggregate(aggregate)
     if hasattr(os, "fork"):
         return ChildMappingExecutor(spec, aggregate)
     return MappingExecutor(spec, aggregate)
@@ -375,8 +376,7 @@ class EvaluationChild:
     def evaluate(self, job: MappingJob) -> "Fitness | JobError":
         genes, subset = job
         try:
-            n_genes, n_subset = len(genes), len(subset)
-            request = struct.pack(f"<BBiii{n_genes + n_subset}i", FITNESS, 0, n_genes, n_subset, 0, *genes, *subset)
+            request = _request(FITNESS, genes, subset)
         except struct.error:
             # no int32 holds it, so no spec accepts it: evaluating here raises
             # the error the job gives anywhere

@@ -7,7 +7,8 @@ the current scenario subset — so evaluation parallelism never changes the
 results. The explorer adopts a new scenario subset only at generation
 boundaries and re-evaluates the whole population, elites included, every
 generation, so fitness from an outdated subset is never compared against
-fresh fitness.
+fresh fitness. The final validation of the collected candidates on the full
+set is one more such batch, judged by the same sort key.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ def run_explorer(
     provider; the per-generation best mappings are offered back as training
     candidates, and the provider runs one selection pass per generation.
     The returned best individual is validated on the full scenario set,
-    whatever subset was used along the way.
+    whatever subset was used along the way, by one more
+    :func:`evaluate_population` batch whose lowest :meth:`Individual.sort_key`
+    wins.
     """
     rng = random.Random(params.seed)
     population = init_population(spec, params, rng)
@@ -236,22 +239,9 @@ def run_explorer(
     if not candidates:
         for ind in population:
             candidates.setdefault(ind.mapping.genes, ind.mapping)
-    final = list(candidates.values())
-    full = full_subset(spec)
-    results = pool.submit_batch([(m.genes, full) for m in final])
-    best_idx = min(
-        range(len(final)),
-        key=lambda i: (_result_value(results[i]), final[i].genes),
-    )
-    best_fit = results[best_idx]
-    if isinstance(best_fit, JobError):
-        best_fit = Fitness.error()
-    best = Individual(mapping=final[best_idx], fitness=best_fit)
-    return ExplorerResult(best=best, history=history)
-
-
-def _result_value(result) -> float:
-    return float("inf") if isinstance(result, JobError) else result.value
+    final = [Individual(mapping=m) for m in candidates.values()]
+    evaluate_population(final, full_subset(spec), pool)
+    return ExplorerResult(best=min(final, key=Individual.sort_key), history=history)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Ranks candidate subsets by how faithfully fitness computed on the subset
 reproduces the full-scenario-set fitness ranking of a set of training
-mappings, measured with Kendall tau-b. Greedy forward selection (SFS) is the
-default; backward selection (SBS) is available behind a flag.
+mappings, measured with Kendall tau-b. :func:`select_subset` is the one
+selection call: its ``method`` picks greedy forward (``"sfs"``, the
+default) or backward (``"sbs"``) selection. :class:`SelectorService` runs
+the same searches and shares its argument check.
 
 A selection pass does no repeated work. Each training entry keeps its
 per-scenario makespan row, computed once from the same scenario costs as its
@@ -55,6 +57,7 @@ from .evaluator import (
     _cost_pairs,
     _mapping_costs,
     _request,
+    _unknown_aggregate,
     aggregate_values,
     full_subset,
 )
@@ -212,7 +215,8 @@ class TrainingSet:
 
         Raises ValueError for a mapping that does not fit the spec.
         """
-        if self.touch(mapping):
+        if mapping in self:
+            self._entries.move_to_end(mapping.genes)
             return
         if costs is None:
             costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
@@ -221,14 +225,6 @@ class TrainingSet:
             _aggregate_costs(costs, aggregate),
             row=tuple(makespan for makespan, _ in costs),
         )
-
-    def touch(self, mapping: Mapping) -> bool:
-        """Refresh the recency of a known mapping; False if absent."""
-        key = mapping.genes
-        if key not in self._entries:
-            return False
-        self._entries.move_to_end(key)
-        return True
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -273,16 +269,6 @@ def _makespan_matrix(spec: SystemSpec, training: TrainingSet) -> list[tuple[floa
             costs = _mapping_costs(spec, entry.mapping, spec.compiled_scenarios)
             entry.row = tuple(makespan for makespan, _ in costs)
     return [entry.row for entry in entries]
-
-
-def _check_selection_args(spec: SystemSpec, training: TrainingSet, k: int, aggregate: str) -> None:
-    n_scen = len(spec.scenarios)
-    if not 1 <= k <= n_scen:
-        raise ValueError(f"k must be in 1..{n_scen}, got {k}")
-    if len(training) < 2:
-        raise ValueError("training set must contain at least 2 mappings")
-    if aggregate not in AGGREGATES:
-        raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
 
 
 class _ForwardSearch:
@@ -403,6 +389,17 @@ class _BackwardSearch:
 _SEARCHES = {"sfs": _ForwardSearch, "sbs": _BackwardSearch}
 
 
+def _check_selection_args(spec: SystemSpec, k: int, method: str, aggregate: str) -> None:
+    """Reject a bad method, aggregate or k, in that order."""
+    if method not in SELECTION_METHODS:
+        raise ValueError(f"unknown selection method '{method}' (expected one of {SELECTION_METHODS})")
+    if aggregate not in AGGREGATES:
+        raise _unknown_aggregate(aggregate)
+    n_scen = len(spec.scenarios)
+    if not 1 <= k <= n_scen:
+        raise ValueError(f"k must be in 1..{n_scen}, got {k}")
+
+
 def _new_search(method: str, spec: SystemSpec, training: TrainingSet, k: int, aggregate: str):
     """A search for k scenarios over the training set's makespan rows,
     computing missing ones."""
@@ -427,34 +424,6 @@ def _greedy(search, scan: Callable[[list[int]], list[float]]) -> SubsetSnapshot:
     return SubsetSnapshot(indices=search.subset(), version=0, tau=achieved)
 
 
-def select_subset_sfs(
-    spec: SystemSpec, training: TrainingSet, k: int, aggregate: str = "average"
-) -> SubsetSnapshot:
-    """Greedy forward selection of a k-scenario subset.
-
-    At each step the scenario whose addition maximizes the tau between the
-    subset ranking and the full-set ranking of the training mappings is
-    added; ties resolve to the lowest scenario index, so a step stops
-    scanning at the first candidate with tau 1.0. The returned snapshot
-    carries version 0 — the publisher stamps the real version.
-    """
-    _check_selection_args(spec, training, k, aggregate)
-    search = _new_search("sfs", spec, training, k, aggregate)
-    return _greedy(search, search.scan)
-
-
-def select_subset_sbs(
-    spec: SystemSpec, training: TrainingSet, k: int, aggregate: str = "average"
-) -> SubsetSnapshot:
-    """Greedy backward selection: start from the full set and drop the
-    scenario whose removal maximizes tau until k remain. Ties resolve to
-    removing the highest index, keeping the retained subset lexicographically
-    smallest."""
-    _check_selection_args(spec, training, k, aggregate)
-    search = _new_search("sbs", spec, training, k, aggregate)
-    return _greedy(search, search.scan)
-
-
 def select_subset(
     spec: SystemSpec,
     training: TrainingSet,
@@ -462,11 +431,16 @@ def select_subset(
     method: str = "sfs",
     aggregate: str = "average",
 ) -> SubsetSnapshot:
-    if method == "sfs":
-        return select_subset_sfs(spec, training, k, aggregate)
-    if method == "sbs":
-        return select_subset_sbs(spec, training, k, aggregate)
-    raise ValueError(f"unknown selection method '{method}' (expected one of {SELECTION_METHODS})")
+    """Greedy selection of a k-scenario subset: ``"sfs"`` adds and ``"sbs"``
+    drops one scenario per step, the one that maximizes the tau against the
+    training set's full-set ranking (ties: see :class:`_ForwardSearch` and
+    :class:`_BackwardSearch`). The snapshot carries version 0 — the
+    publisher stamps the real version."""
+    _check_selection_args(spec, k, method, aggregate)
+    if len(training) < 2:
+        raise ValueError("training set must contain at least 2 mappings")
+    search = _new_search(method, spec, training, k, aggregate)
+    return _greedy(search, search.scan)
 
 
 @dataclass(frozen=True)
@@ -664,13 +638,7 @@ class SelectorService:
     ):
         if mode != "sync":
             raise ValueError(f"unknown selector mode '{mode}' (expected 'sync')")
-        if method not in SELECTION_METHODS:
-            raise ValueError(f"unknown selection method '{method}' (expected one of {SELECTION_METHODS})")
-        if aggregate not in AGGREGATES:
-            raise ValueError(f"unknown aggregate '{aggregate}' (expected one of {AGGREGATES})")
-        n_scen = len(spec.scenarios)
-        if not 1 <= k <= n_scen:
-            raise ValueError(f"k must be in 1..{n_scen}, got {k}")
+        _check_selection_args(spec, k, method, aggregate)
         self._spec = spec
         self._k = k
         self._aggregate = aggregate

@@ -202,10 +202,6 @@ class PoolCore:
     def _start_thread(thread: threading.Thread) -> None:
         thread.start()
 
-    @property
-    def workers(self) -> int:
-        return self._workers
-
     def worker_idents(self) -> tuple[int, ...]:
         return tuple(self._idents)
 

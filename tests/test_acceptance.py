@@ -28,7 +28,7 @@ from sdse.explorer import (
     run_explorer,
 )
 from sdse.model import Mapping
-from sdse.selector import StaticSubsetProvider, TrainingSet, kendall_tau, select_subset_sfs
+from sdse.selector import StaticSubsetProvider, TrainingSet, kendall_tau, select_subset
 from sdse.workpool import WorkPool, execution_counts, make_pool
 
 from conftest import ga_instance
@@ -217,9 +217,9 @@ def test_selector_correctness():
     for s in range(len(spec.scenarios)):
         scores = [evaluate_mapping(spec, m, [s]).value for m in training.mappings]
         taus.append(kendall_tau(scores, full_scores))
-    snap1 = select_subset_sfs(spec, training, k=1)
+    snap1 = select_subset(spec, training, k=1)
     assert snap1.indices == (taus.index(max(taus)),)
-    snap_all = select_subset_sfs(spec, training, k=len(spec.scenarios))
+    snap_all = select_subset(spec, training, k=len(spec.scenarios))
     assert snap_all.tau == 1.0
 
     # greedy vs exhaustive over all C(5,2) subsets; the gap is reported
@@ -228,7 +228,7 @@ def test_selector_correctness():
     for genes in itertools.product(range(2), repeat=3):  # all 8 mappings
         m = Mapping(genes=genes)
         training5.add(m, evaluate_mapping(spec5, m, full_subset(spec5)))
-    greedy = select_subset_sfs(spec5, training5, k=2)
+    greedy = select_subset(spec5, training5, k=2)
     scores_full = [f.value for f in training5.fitnesses]
     exhaustive = max(
         kendall_tau(

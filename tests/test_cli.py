@@ -590,6 +590,44 @@ def test_out_of_range_flag_is_usage_error(config_path, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--job-kind", "simulate"], "--config"),
+        (["bench", "--workers", "1,1"], "--workers"),
+        (["oracle", "--cap", "0"], "--cap"),
+        (["oracle", "--cap", "-1"], "--cap"),
+    ],
+    ids=["bench-simulate-without-config", "bench-repeated-worker-count", "oracle-cap-0", "oracle-cap-negative"],
+)
+def test_flag_values_no_run_can_use_are_usage_errors(config_path, tmp_path, capsys, argv, flag):
+    if argv[0] == "bench":
+        argv = argv + ["--jobs", "10", "--cost", "0", "--repeat", "1", "--out", str(tmp_path / "b.csv")]
+    else:
+        argv = argv + ["--config", config_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and flag in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+
+
+def test_explore_out_naming_a_file_fails_before_exploring(config_path, tmp_path, capsys, monkeypatch):
+    import errno
+
+    import sdse.cli as cli_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the explorer ran")
+
+    monkeypatch.setattr(cli_mod, "run_explorer", no_run)
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = ["explore", "--config", config_path, "--generations", "1", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n"
+
+
 @pytest.mark.parametrize("flag", ["--summary-out", "--plot-out"])
 def test_speedup_outputs_without_one_worker_is_usage_error(tmp_path, monkeypatch, capsys, flag):
     import sdse.bench as bench_mod

@@ -1,11 +1,12 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from sdse.cli import _columns, _write_csv
-from sdse.evaluator import evaluate_mapping, full_subset, make_mapping_executor
+from sdse.evaluator import Fitness, evaluate_mapping, full_subset, make_mapping_executor
 from sdse.explorer import (
     GaParams,
     GenerationStats,
@@ -115,8 +116,8 @@ def test_evaluate_population_error_becomes_worst_fitness(two_proc_spec):
     pop = [Individual(mapping=Mapping(genes=g)) for g in [(0, 0), (1, 1), (0, 1)]]
     with WorkPool(2, executor) as pool:
         evaluate_population(pop, (0,), pool)
-    assert pop[1].fitness.is_error
-    assert not pop[0].fitness.is_error and not pop[2].fitness.is_error
+    assert math.isinf(pop[1].fitness.value)
+    assert not math.isinf(pop[0].fitness.value) and not math.isinf(pop[2].fitness.value)
 
 
 def test_evaluate_population_empty_subset(two_proc_spec):
@@ -337,6 +338,57 @@ def test_run_explorer_adopts_selector_subsets(ga_spec):
     assert versions == sorted(versions)
     assert versions[-1] >= 1  # the selector actually published
     assert len(service.latest().indices) == 2
+
+
+class _CountingPool:
+    """Forwards batches to a pool, counting them and keeping the last one."""
+
+    def __init__(self, pool):
+        self.pool, self.count, self.last = pool, 0, []
+
+    def submit_batch(self, jobs):
+        self.count += 1
+        self.last = jobs
+        return self.pool.submit_batch(jobs)
+
+
+@pytest.mark.parametrize("fails", ["best-and-odd", "all"])
+def test_final_validation_ranks_failed_jobs_last(ga_spec, fails):
+    # the final full-set batch fails some or all of its jobs: the best is the
+    # lowest-valued candidate that did not fail, or, if none is left, the
+    # error fitness on the lexicographically smallest genes
+    params = GaParams(generations=6, seed=2, population_size=8, mutation_rate=0.3, elitism=0)
+    full = full_subset(ga_spec)
+
+    def explore(failing):
+        def executor(job):
+            genes, subset = job
+            if batches.count > params.generations and genes in failing:
+                raise RuntimeError("sim crashed")
+            return evaluate_mapping(ga_spec, Mapping(genes=genes), subset)
+
+        with WorkPool(2, executor) as pool:
+            batches = _CountingPool(pool)
+            result = run_explorer(ga_spec, params, StaticSubsetProvider(ga_spec), batches)
+        return result, [genes for genes, _ in batches.last]
+
+    _, final = explore(set())
+    assert len(final) >= 3
+    fits = {genes: evaluate_mapping(ga_spec, Mapping(genes=genes), full) for genes in final}
+    if fails == "all":
+        result, _ = explore(set(final))
+        assert result.best.mapping.genes == min(final)
+        assert result.best.fitness == Fitness.error()
+        return
+    best = min(final, key=lambda genes: (fits[genes].value, genes))
+    failing = {best} | set(final[1::2])
+    result, again = explore(failing)
+    assert again == final
+    left = [genes for genes in final if genes not in failing]
+    assert left
+    expected = min(left, key=lambda genes: (fits[genes].value, genes))
+    assert result.best.mapping.genes == expected
+    assert result.best.fitness == fits[expected]
 
 
 def test_history_csv(tmp_path, ga_spec):

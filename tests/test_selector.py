@@ -26,8 +26,6 @@ from sdse.selector import (
     _tau_reference,
     kendall_tau,
     select_subset,
-    select_subset_sbs,
-    select_subset_sfs,
 )
 
 from conftest import random_dyadic_spec
@@ -122,7 +120,7 @@ def test_selection_uses_exactly_the_retained_mappings():
         bounded.add(m, evaluate_mapping(spec, m, full_subset(spec)))
     fresh = _training_over(spec, genes[-2:])  # what should have been retained
     assert [m.genes for m in bounded.mappings] == [m.genes for m in fresh.mappings]
-    assert select_subset_sfs(spec, bounded, k=2) == select_subset_sfs(spec, fresh, k=2)
+    assert select_subset(spec, bounded, k=2) == select_subset(spec, fresh, k=2)
 
 
 # --- subset selection ---------------------------------------------------------
@@ -163,7 +161,7 @@ def _training_over(spec, genes_list):
 def test_full_subset_gives_tau_one():
     spec = _selection_spec()
     ts = _training_over(spec, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    snap = select_subset_sfs(spec, ts, k=3)
+    snap = select_subset(spec, ts, k=3)
     assert snap.indices == (0, 1, 2)
     assert snap.tau == 1.0
 
@@ -177,7 +175,7 @@ def test_step_one_picks_singleton_argmax():
         scores = [evaluate_mapping(spec, m, [s]).value for m in ts.mappings]
         taus.append(kendall_tau(scores, full_scores))
     expected_first = max(range(3), key=lambda s: (taus[s], -s))
-    snap = select_subset_sfs(spec, ts, k=1)
+    snap = select_subset(spec, ts, k=1)
     assert snap.indices == (expected_first,)
     assert snap.tau == pytest.approx(max(taus))
 
@@ -202,7 +200,7 @@ def test_step_one_argmax_randomized():
             taus.append(kendall_tau(scores, full_scores))
         best = max(taus)
         expected_first = taus.index(best)  # ties -> lowest index
-        snap = select_subset_sfs(spec, ts, k=1)
+        snap = select_subset(spec, ts, k=1)
         assert snap.indices == (expected_first,)
 
 
@@ -240,7 +238,7 @@ def test_greedy_never_beats_exhaustive_and_gap_reported(capsys):
     spec = five_scenario_spec()
     # all 8 distinct mappings as the training set
     ts = _training_over(spec, itertools.product(range(2), repeat=3))
-    greedy = select_subset_sfs(spec, ts, k=2)
+    greedy = select_subset(spec, ts, k=2)
     full_scores = [f.value for f in ts.fitnesses]
     best_tau = -2.0
     for pair in itertools.combinations(range(5), 2):
@@ -254,8 +252,8 @@ def test_greedy_never_beats_exhaustive_and_gap_reported(capsys):
 def test_select_subset_pure_function():
     spec = _selection_spec()
     ts = _training_over(spec, [(0, 0), (0, 1), (1, 0)])
-    a = select_subset_sfs(spec, ts, k=2)
-    b = select_subset_sfs(spec, ts, k=2)
+    a = select_subset(spec, ts, k=2)
+    b = select_subset(spec, ts, k=2)
     assert a == b
 
 
@@ -273,11 +271,11 @@ def test_select_subset_validations():
     spec = _selection_spec()
     ts = _training_over(spec, [(0, 0), (0, 1)])
     with pytest.raises(ValueError, match="k must be"):
-        select_subset_sfs(spec, ts, k=0)
+        select_subset(spec, ts, k=0)
     with pytest.raises(ValueError, match="k must be"):
-        select_subset_sfs(spec, ts, k=4)
+        select_subset(spec, ts, k=4)
     with pytest.raises(ValueError, match="at least 2 mappings"):
-        select_subset_sfs(spec, _training_over(spec, [(0, 0)]), k=1)
+        select_subset(spec, _training_over(spec, [(0, 0)]), k=1)
     with pytest.raises(ValueError, match="method"):
         select_subset(spec, ts, k=1, method="annealing")
     for method in SELECTION_METHODS:
@@ -480,9 +478,9 @@ def test_selection_matches_oracle_bit_for_bit():
             fitness_kind = ("evaluated", "tied", "inf")[checked % 3]
             ts = _random_training(spec, rng, size, aggregate, fitness_kind)
             for k in range(1, n + 1):
-                sfs = select_subset_sfs(spec, ts, k, aggregate)
+                sfs = select_subset(spec, ts, k, aggregate=aggregate)
                 assert _snap_key(sfs.indices, sfs.tau) == _snap_key(*oracle_sfs(spec, ts, k, aggregate))
-                sbs = select_subset_sbs(spec, ts, k, aggregate)
+                sbs = select_subset(spec, ts, k, method="sbs", aggregate=aggregate)
                 assert _snap_key(sbs.indices, sbs.tau) == _snap_key(*oracle_sbs(spec, ts, k, aggregate))
     assert sizes_seen == set(range(2, 17))
 
@@ -605,9 +603,9 @@ def test_selection_with_tie_free_fitness_matches_oracle(monkeypatch):
         for aggregate, ts in sets.items():
             assert _tau_reference([f.value for f in ts.fitnesses])[2] is not None
             for k in range(1, n + 1):
-                sfs = select_subset_sfs(spec, ts, k, aggregate)
+                sfs = select_subset(spec, ts, k, aggregate=aggregate)
                 assert _snap_key(sfs.indices, sfs.tau) == _snap_key(*oracle_sfs(spec, ts, k, aggregate))
-                sbs = select_subset_sbs(spec, ts, k, aggregate)
+                sbs = select_subset(spec, ts, k, method="sbs", aggregate=aggregate)
                 assert _snap_key(sbs.indices, sbs.tau) == _snap_key(*oracle_sbs(spec, ts, k, aggregate))
 
 
@@ -628,12 +626,12 @@ def test_sfs_step_stops_at_a_perfect_candidate(monkeypatch, aggregate):
         return real(scores, reference)
 
     monkeypatch.setattr(selector_mod, "_tau_b", counting)
-    snap = select_subset_sfs(spec, ts, 1, aggregate)
+    snap = select_subset(spec, ts, 1, aggregate=aggregate)
     assert _snap_key(snap.indices, snap.tau) == _snap_key(*oracle_sfs(spec, ts, 1, aggregate))
     assert snap.indices == (1,) and snap.tau == 1.0
     assert calls[0] == 2  # a full scan scores all 3 candidates
     calls[0] = 0
-    snap = select_subset_sbs(spec, ts, 1, aggregate)
+    snap = select_subset(spec, ts, 1, method="sbs", aggregate=aggregate)
     assert _snap_key(snap.indices, snap.tau) == _snap_key(*oracle_sbs(spec, ts, 1, aggregate))
     assert calls[0] == 1 + 3 + 2  # SBS keeps its full scan: ties go to the higher index
 

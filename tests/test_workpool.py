@@ -82,7 +82,7 @@ def test_pool_requires_workers():
 def test_pool_minimal_then_shutdown():
     for queue_kind in QUEUE_KINDS:
         pool = make_pool(queue_kind, 1, lambda j: j)
-        assert pool.workers == 1
+        assert pool._workers == 1
         pool.shutdown()
         pool.shutdown()  # idempotent
 
