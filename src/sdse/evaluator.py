@@ -19,15 +19,19 @@ the scenario's demands and results are exact to the bit.
 
 Wherever ``os.fork`` exists, the pool's mapping executor gives each pool
 worker one persistent forked child (:class:`EvaluationChild`) through the
-pool's ``worker_session`` hook: the thread only forwards the job and waits
-on a pipe without the GIL, so N workers evaluate on N cores. Without fork,
-the worker threads evaluate in process (:class:`MappingExecutor`), holding
+pool's ``worker_session`` hook, and takes the pool's jobs in shares: a
+worker claims ceil(n / workers) consecutive jobs of a batch and sends them
+to its child as one ``FITNESS`` request, then waits on a pipe without the
+GIL for one reply per job, so N workers evaluate on N cores and a batch
+costs each worker one round trip. The children are pinned to distinct CPUs
+where the OS allows it. Without fork, the worker threads
+evaluate in process (:class:`MappingExecutor`), one job at a time, holding
 the GIL while they do. Results travel as exact doubles, so both give
 bit-identical fitness.
 
 Every forked child, the pool's and the subset selector's helper alike,
 runs one serve loop (:func:`_serve`) over one request form, whose kind
-names the reply: a pool job's aggregated fitness (``FITNESS``), per-scenario
+names the reply: each pool job's aggregated fitness (``FITNESS``), per-scenario
 costs (``COSTS``) or a search step's taus (``TAUS``). Only a child told that
 another request follows busy-polls for it; the pool's children never are.
 
@@ -49,9 +53,9 @@ import signal
 import struct
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter, mul
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
 from .workpool import JobError
@@ -276,17 +280,19 @@ def alloc_churn_job(rounds: int, block_sizes: Sequence[int] = DEFAULT_CHURN_SIZE
 
 MappingJob = tuple[tuple[int, ...], tuple[int, ...]]  # (genes, scenario indices)
 
-# seconds a child may spend on one request before it is killed and the request fails
+# seconds a child may spend per job: the i-th reply to a request (from 0) is
+# due (i + 1) times this after the request was sent, or the child is killed
 CHILD_JOB_TIMEOUT_S = 60.0
 
 # A request to a child is a _REQUEST header, then int32 runs A and B and a run
 # of doubles, of the lengths the header gives. Its kind names the reply:
-FITNESS = 0  # A = genes, B = subset: the exact doubles (value, energy)
+FITNESS = 0  # A = gene vectors back to back, B = subset: one (value, energy) reply per vector
 COSTS = 1  # A = gene vectors back to back, B = subset: (makespan, energy) per vector and scenario
 TAUS = 2  # A = scenarios taken, B = candidates, doubles = a pass's rows and values: one tau per candidate
 _REQUEST = struct.Struct("<BBiii")  # kind, another request follows, lengths of A, B and the doubles
 _REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes (see _reply)
 _FITNESS = struct.Struct("<dd")  # value, energy
+_MIN_REPLY = _REPLY.size + _FITNESS.size  # every reply is at least this long (see _reply)
 
 
 class MappingExecutor:
@@ -307,13 +313,37 @@ class ChildMappingExecutor(MappingExecutor):
     """Mapping executor whose pool workers each evaluate in their own child.
 
     Called directly, it evaluates in this process. A pool worker instead
-    holds a :meth:`worker_session` for its whole life and forwards every job
-    to the session's child process, so N workers evaluate on N cores while
-    their threads wait on pipes without the GIL.
+    holds a :meth:`worker_session` for its whole life and forwards every
+    share of jobs to the session's child process, so N workers evaluate on
+    N cores while their threads wait on pipes without the GIL.
+
+    The sessions' children are pinned to the CPUs this process may use,
+    one after another in session order, so no two run on one CPU while
+    another is free. A share runs far longer than one job, and two
+    children woken onto one CPU would otherwise stay there for most of it.
     """
 
+    takes_shares = True  # the session evaluates a share of jobs per call
+
+    def __init__(self, spec: SystemSpec, aggregate: str):
+        super().__init__(spec, aggregate)
+        self._sessions = count()  # numbers the sessions, atomically
+
     def worker_session(self) -> "EvaluationChild":
-        return EvaluationChild(self.spec, self.aggregate)
+        cpu = None
+        if hasattr(os, "sched_setaffinity"):
+            cpus = sorted(os.sched_getaffinity(0))
+            cpu = cpus[next(self._sessions) % len(cpus)]
+        return EvaluationChild(self.spec, self.aggregate, cpu)
+
+
+def _evaluate_here(spec: SystemSpec, genes: Sequence[int], subset: Sequence[int], aggregate: str) -> "Fitness | JobError":
+    """A job evaluated in this process, as :class:`MappingExecutor` does it;
+    a failure becomes its JobError."""
+    try:
+        return evaluate_mapping(spec, Mapping(genes=tuple(genes)), subset, aggregate)
+    except Exception as exc:
+        return JobError.of(exc)
 
 
 def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> MappingExecutor:
@@ -333,71 +363,121 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
 
 class EvaluationChild:
     """A persistent forked child process that answers requests over a pair
-    of pipes, one at a time: one pool worker's session, and the base of the
+    of pipes, in order: one pool worker's session, and the base of the
     subset selector's helper.
 
     Lifecycle: the child is forked by the first request, after the spec has
     been compiled here, so it inherits the compiled form. It closes every
     inherited descriptor except its two pipe ends, runs only :func:`_serve`
     and ends with ``os._exit``, so it never returns into the caller's stack.
+    Given a ``cpu``, the child is pinned to it once forked.
     The serve loop takes no lock, imports nothing and does no I/O but its
     pipes, so a lock another thread held at the fork cannot block it. Each
-    reply is a ``_REPLY`` header and its payload (see :func:`_reply`), read
-    to its exact length within :data:`CHILD_JOB_TIMEOUT_S`.
+    reply is a ``_REPLY`` header and its payload (see :func:`_reply`); the
+    i-th reply to a request (counting from 0) must come within (i + 1) ×
+    :data:`CHILD_JOB_TIMEOUT_S` of sending it.
 
-    A pool job's error reply becomes the :class:`JobError` in-process
-    evaluation gives.
+    As a pool worker's session it evaluates a share of jobs
+    (:meth:`evaluate_share`): one ``FITNESS`` request per run of jobs with
+    the same subset. A job's error reply becomes the :class:`JobError`
+    in-process evaluation gives.
 
     Failures: a child found dead when a request is sent is replaced and the
     request goes to the new child. A reply that does not come in time, or a
-    child that exits instead, raises (for a job, the pool records a
-    ``JobError``); the child is then stopped, and the next request forks a
-    new one. :meth:`stop` closes the pipes, kills the child and reaps it;
-    leaving the session stops it.
+    child that exits instead, stops the child (the next request forks a new
+    one); for a share, see :meth:`evaluate_share`. :meth:`stop` closes the
+    pipes, kills the child and reaps it; leaving the session stops it.
     """
 
     _what = "evaluation child"  # names the child in the errors a reply raises
     _spin_s = 0.0  # how long each side busy-polls for a message before it blocks
     _search_type = None  # builds the search a TAUS request scans (the selector's helper)
 
-    def __init__(self, spec: SystemSpec, aggregate: str):
+    def __init__(self, spec: SystemSpec, aggregate: str, cpu: int | None = None):
         self._spec = spec
         self._aggregate = aggregate
+        self._cpu = cpu  # the one CPU the child may run on; None leaves it free
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
 
-    def __enter__(self) -> Callable[[MappingJob], "Fitness | JobError"]:
-        return self.evaluate
+    def __enter__(self) -> Callable[[Sequence[MappingJob]], "list[Fitness | JobError]"]:
+        return self.evaluate_share
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def evaluate(self, job: MappingJob) -> "Fitness | JobError":
-        genes, subset = job
+    def evaluate_share(self, jobs: Sequence[MappingJob]) -> "list[Fitness | JobError]":
+        """The fitness, or the JobError, of each job, in order.
+
+        Each run of consecutive jobs with the same subset is one ``FITNESS``
+        request carrying their gene vectors. A job whose gene count is not
+        the spec's, or that holds a value no int32 holds (no spec accepts
+        one), is evaluated in this thread instead, as
+        :class:`MappingExecutor` does, with the same result or error.
+        """
+        results: list = [None] * len(jobs)
+        spec, aggregate = self._spec, self._aggregate
+        n_genes = len(spec.processes)
+        asked: list[int] = []
+        for i, (genes, subset) in enumerate(jobs):
+            if len(genes) != n_genes or not n_genes:
+                results[i] = _evaluate_here(spec, genes, subset, aggregate)
+                continue
+            if asked and subset is not jobs[asked[-1]][1] and subset != jobs[asked[-1]][1]:
+                self._ask_run(jobs, asked, results)
+                asked = []
+            asked.append(i)
+        if asked:
+            self._ask_run(jobs, asked, results)
+        return results
+
+    def _ask_run(self, jobs: Sequence[MappingJob], asked: list[int], results: list) -> None:
+        """Evaluate the asked jobs, which share one subset, in one request."""
+        subset = jobs[asked[0]][1]
         try:
-            request = _request(FITNESS, genes, subset)
-        except struct.error:
-            # no int32 holds it, so no spec accepts it: evaluating here raises
-            # the error the job gives anywhere
-            return evaluate_mapping(self._spec, Mapping(genes=tuple(genes)), subset, self._aggregate)
+            request = _request(FITNESS, [g for i in asked for g in jobs[i][0]], subset)
+        except struct.error:  # a value no int32 holds: such jobs are evaluated here
+            fit = [i for i in asked if _int32(subset) and _int32(jobs[i][0])]
+            for i in set(asked).difference(fit):
+                results[i] = _evaluate_here(self._spec, jobs[i][0], subset, self._aggregate)
+            if fit:
+                self._ask_run(jobs, fit, results)
+            return
+        self._ask(request, jobs, asked, results)
+
+    def _ask(self, request: bytes, jobs: Sequence[MappingJob], asked: list[int], results: list) -> None:
+        """Send one FITNESS request and store its replies in the asked slots.
+
+        If the child exits or misses a deadline, the replies already read
+        are kept. With one reply unread, that job gets the ``JobError`` of
+        the failure. With more, the child's own replies cannot tell which
+        job ended it (it writes a request's replies together), so each
+        unread job runs again alone: the one that fails again gets its
+        ``JobError``, and every job after it runs once, in a fresh child.
+        """
+        read = 0
         try:
             self._send(request)
-            return self._receive()
-        except BaseException:
+            for status, payload in self._replies(len(asked), time.monotonic()):
+                results[asked[read]] = JobError(payload.decode()) if status else Fitness(*_FITNESS.unpack(payload))
+                read += 1
+        except Exception as exc:
             self.stop()  # a child that hung or died cannot take the next job
+            unread = asked[read:]
+            if len(unread) == 1:
+                results[unread[0]] = JobError.of(exc)
+            else:
+                for i in unread:
+                    genes, subset = jobs[i]
+                    self._ask(_request(FITNESS, genes, subset), jobs, [i], results)
+        except BaseException:
+            self.stop()
             raise
-
-    def _receive(self) -> "Fitness | JobError":
-        status, payload = self._read_reply()
-        if status:
-            return JobError(payload.decode())
-        value, energy = _FITNESS.unpack(payload)
-        return Fitness(value=value, energy=energy)
 
     def _receive_values(self) -> "tuple[float, ...] | JobError":
         """The doubles of a COSTS or TAUS reply, or the error it carries."""
-        status, payload = self._read_reply()
+        ((status, payload),) = self._replies(1, time.monotonic())
         if status:
             return JobError(payload.decode())
         return struct.unpack(f"<{len(payload) // 8}d", payload)
@@ -413,32 +493,38 @@ class EvaluationChild:
             self._start()
             _write_all(self._to_child, request)
 
-    def _read_reply(self) -> tuple[int, bytes]:
-        """The child's next reply as (status, payload), read to its exact
-        length, so the bytes of a reply queued behind it stay in the pipe.
-        Every reply is at least as long as a fitness reply, so that first
-        read never reaches past it, and a fitness reply takes one
-        ``os.read``."""
-        deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
-        reply = self._read(_REPLY.size + _FITNESS.size, deadline)
-        status, size = _REPLY.unpack_from(reply)
-        if size > _FITNESS.size:
-            reply += self._read(size - _FITNESS.size, deadline)
-        return status, reply[_REPLY.size : _REPLY.size + size]
+    def _replies(self, count: int, sent: float) -> Iterator[tuple[int, bytes]]:
+        """The child's next ``count`` replies as (status, payload), in order;
+        reply i is due (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after ``sent``.
+
+        Each read asks for as many bytes as the replies still due must hold
+        (every reply is at least ``_MIN_REPLY`` long), so a share's replies
+        written together take one ``os.read``, and the bytes of a reply
+        queued behind the last one stay in the pipe."""
+        data = b""
+        for i in range(count):
+            deadline = sent + (i + 1) * CHILD_JOB_TIMEOUT_S
+            while True:
+                end = _MIN_REPLY
+                if len(data) >= _REPLY.size:
+                    status, size = _REPLY.unpack_from(data)
+                    end = _REPLY.size + max(size, _FITNESS.size)
+                    if len(data) >= end:
+                        break
+                data += self._read(max(end, (count - i) * _MIN_REPLY) - len(data), deadline)
+            yield status, data[_REPLY.size : _REPLY.size + size]
+            data = data[end:]
 
     def _read(self, n: int, deadline: float) -> bytes:
-        """Exactly n bytes from the reply pipe."""
+        """Between 1 and n bytes from the reply pipe."""
         if self._spin_s:
             _spin(self._poll, self._spin_s)
-        data = b""
-        while len(data) < n:
-            if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
-                raise TimeoutError(f"{self._what} gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
-            chunk = os.read(self._from_child, n - len(data))
-            if not chunk:
-                raise ChildProcessError(f"{self._what} exited during the job")
-            data += chunk
-        return data
+        if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+            raise TimeoutError(f"{self._what} gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
+        chunk = os.read(self._from_child, n)
+        if not chunk:
+            raise ChildProcessError(f"{self._what} exited during the job")
+        return chunk
 
     def _start(self) -> None:
         spec = self._spec
@@ -455,6 +541,9 @@ class EvaluationChild:
             _child_main(self, requests, replies)
         os.close(requests)
         os.close(replies)
+        if self._cpu is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(pid, {self._cpu})
         self._pid, self._to_child, self._from_child = pid, to_child, from_child
         self._poll = select.poll()
         self._poll.register(from_child, select.POLLIN)
@@ -476,6 +565,10 @@ def _request(kind: int, a: Sequence[int], b: Sequence[int], doubles: Sequence[fl
     """One request; ``follows`` tells the child that another comes soon."""
     n, m = len(a) + len(b), len(doubles)
     return struct.pack(f"<BBiii{n}i{m}d", kind, follows, len(a), len(b), m, *a, *b, *doubles)
+
+
+def _int32(values: Sequence[int]) -> bool:
+    return all(-(2**31) <= v < 2**31 for v in values)
 
 
 def _cost_pairs(values: Sequence[float], n_scen: int) -> list[list[tuple[float, float]]]:
@@ -502,10 +595,11 @@ def _child_main(child: EvaluationChild, requests: int, replies: int) -> NoReturn
 def _serve(child: EvaluationChild, requests: int, replies: int) -> None:
     """Answer requests in order until the parent closes the request pipe,
     each with exact doubles or the ``"Type: message"`` text of the exception
-    it raised. A TAUS request's doubles set up a pass's search, and its
-    run A keeps that search in step with the parent's."""
+    it raised. A FITNESS request gets one reply per gene vector (see
+    :func:`_fitness_replies`). A TAUS request's doubles set up a pass's
+    search, and its run A keeps that search in step with the parent's."""
     spec, aggregate = child._spec, child._aggregate
-    n_genes, n_scen = len(spec.processes), len(spec.scenarios)
+    n_scen = len(spec.scenarios)
     poll = select.poll()
     poll.register(requests, select.POLLIN)
     follows = False
@@ -516,34 +610,77 @@ def _serve(child: EvaluationChild, requests: int, replies: int) -> None:
         head = _read_exact(requests, _REQUEST.size)
         if not head:
             break
+        received = time.monotonic()
         kind, follows, n_a, n_b, n_doubles = _REQUEST.unpack(head)
         n = n_a + n_b
         payload = _read_exact(requests, 4 * n + 8 * n_doubles)
         ints = struct.unpack_from(f"<{n}i", payload)
         a, b = ints[:n_a], ints[n_a:]
+        if kind == FITNESS:
+            _write_all(replies, _fitness_replies(spec, aggregate, a, b, replies, received))
+            continue
         try:
-            if kind == FITNESS:
-                fitness = evaluate_mapping(spec, Mapping(genes=a), b, aggregate)
-                reply = _reply(0, _FITNESS.pack(fitness.value, fitness.energy))
+            if kind == COSTS:
+                n_genes = len(spec.processes)
+                scenarios = [spec.compiled_scenarios[s] for s in b]
+                vectors = (Mapping(genes=a[i : i + n_genes]) for i in range(0, n_a, n_genes))
+                values = [x for m in vectors for cost in _mapping_costs(spec, m, scenarios) for x in cost]
             else:
-                if kind == COSTS:
-                    scenarios = [spec.compiled_scenarios[s] for s in b]
-                    vectors = (Mapping(genes=a[i : i + n_genes]) for i in range(0, n_a, n_genes))
-                    values = [x for m in vectors for cost in _mapping_costs(spec, m, scenarios) for x in cost]
-                else:
-                    if n_doubles:
-                        doubles = struct.unpack_from(f"<{n_doubles}d", payload, 4 * n)
-                        end = n_doubles - n_doubles // (n_scen + 1)  # the rows, then one value per row
-                        rows = [doubles[i : i + n_scen] for i in range(0, end, n_scen)]
-                        search = child._search_type(rows, doubles[end:])
-                    for s in a[len(search.taken) :]:
-                        search.take(s)
-                    values = search.scan(b)
-                reply = _reply(0, struct.pack(f"<{len(values)}d", *values))
+                if n_doubles:
+                    doubles = struct.unpack_from(f"<{n_doubles}d", payload, 4 * n)
+                    end = n_doubles - n_doubles // (n_scen + 1)  # the rows, then one value per row
+                    rows = [doubles[i : i + n_scen] for i in range(0, end, n_scen)]
+                    search = child._search_type(rows, doubles[end:])
+                for s in a[len(search.taken) :]:
+                    search.take(s)
+                values = search.scan(b)
+            reply = _reply(0, struct.pack(f"<{len(values)}d", *values))
         except Exception as exc:
-            reply = _reply(1, f"{type(exc).__name__}: {exc}".encode())
+            reply = _error_reply(exc)
             follows = False
         _write_all(replies, reply)
+
+
+def _fitness_replies(
+    spec: SystemSpec, aggregate: str, a: Sequence[int], subset: Sequence[int], replies: int, received: float
+) -> bytes:
+    """The replies to a FITNESS request, one per gene vector, in order: run
+    A is a share's vectors back to back when its length is a positive
+    multiple of the gene count, and one vector otherwise.
+
+    The subset's compiled scenarios are looked up once for all vectors.
+    The replies are returned to be written together, but once the oldest
+    one not yet written has waited half its deadline (reply i is due
+    (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after the request), those so far
+    are written first, so a share whose jobs each take under half the
+    timeout meets every deadline."""
+    n_genes = len(spec.processes)
+    if n_genes and a and not len(a) % n_genes:
+        vectors = [a[i : i + n_genes] for i in range(0, len(a), n_genes)]
+    else:
+        vectors = [a]
+    try:
+        scenarios = [spec.compiled_scenarios[s] for s in subset] if subset else None
+    except IndexError:
+        scenarios = None  # each job then fails as evaluate_mapping fails it
+    half = CHILD_JOB_TIMEOUT_S / 2
+    written = 0
+    out = []
+    for genes in vectors:
+        mapping = Mapping(genes=genes)
+        try:
+            if scenarios is None:
+                fitness = evaluate_mapping(spec, mapping, subset, aggregate)
+            else:
+                fitness = _aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate)
+            out.append(_reply(0, _FITNESS.pack(fitness.value, fitness.energy)))
+        except Exception as exc:
+            out.append(_error_reply(exc))
+        if time.monotonic() - received >= (written + 1) * half:
+            _write_all(replies, b"".join(out))
+            written += len(out)
+            out = []
+    return b"".join(out)
 
 
 def _spin(poll, seconds: float) -> None:
@@ -559,6 +696,11 @@ def _reply(status: int, payload: bytes) -> bytes:
     """One reply: the header, then the payload padded with zero bytes to at
     least a fitness payload's length (the header keeps the true length)."""
     return _REPLY.pack(status, len(payload)) + payload.ljust(_FITNESS.size, b"\0")
+
+
+def _error_reply(exc: Exception) -> bytes:
+    """The reply carrying the JobError text of ``exc``."""
+    return _reply(1, JobError.of(exc).message.encode())
 
 
 def _read_exact(fd: int, n: int) -> bytes:

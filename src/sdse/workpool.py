@@ -3,14 +3,14 @@
 :class:`PoolCore` owns the lifecycle that every queue kind shares: it starts
 the worker threads once (aborting cleanly if a start fails), guards
 ``submit_batch`` and ``shutdown`` against concurrent callers, runs each
-claimed job (executor call, :class:`JobError` capture, busy time, result
-slot, diagnostics), keeps the batch logs, and applies one rule when the pool
-breaks. A queue kind supplies only its fetch and wait strategy:
+claimed share (executor call, :class:`JobError` capture, busy time, result
+slots, diagnostics), keeps the batch logs, and applies one rule when the
+pool breaks. A queue kind supplies only its fetch and wait strategy:
 
 * :class:`WorkPool` (``lockless``) — the job queue is a pre-filled vector
-  (:class:`JobBatch`); workers claim indices with an atomic
-  fetch-and-increment and stop once the claimed index passes the end of the
-  queue. Two rendezvous barriers (start, end) delimit each batch: the
+  (:class:`JobBatch`); workers claim shares with an atomic
+  fetch-and-increment and stop once the claimed share index passes the end
+  of the queue. Two rendezvous barriers (start, end) delimit each batch: the
   submitter publishes the batch while the workers block on the start
   barrier, and everyone meets again on the end barrier once the queue is
   drained.
@@ -20,13 +20,20 @@ breaks. A queue kind supplies only its fetch and wait strategy:
   wait for work, and a second one on which the submitter waits until every
   result slot is filled.
 
+A worker claims a **share**: a run of consecutive jobs. A share is one job
+unless the executor's ``takes_shares`` is true; then a batch of n jobs is
+cut into shares of ceil(n / workers) jobs, and a worker hands each share to
+its session in one call (below), which returns one result per job. The
+share size is set per batch, so the claim path is the same for both.
+
 Either pool processes any number of batches without recreating its threads.
 An executor may keep state per worker thread by defining ``worker_session()``,
 a context manager that each worker enters once, after the pool has started,
 and leaves when its thread ends (shutdown, a broken pool or its own death).
-The worker calls the callable the session yields for every job instead of
-the executor itself. The mapping executor uses this hook to give each worker
-its own evaluation child process (see :mod:`sdse.evaluator`).
+The worker calls the callable the session yields for every job (for a share
+executor: every share) instead of the executor itself. The mapping executor
+uses this hook to give each worker its own evaluation child process, which
+takes a whole share as one request (see :mod:`sdse.evaluator`).
 
 A pool breaks the same way in both kinds, whether an exception interrupts
 the submitter's wait for a batch (say, a ``KeyboardInterrupt``) or a worker
@@ -48,9 +55,9 @@ needs: job descriptions and the queue bounds written before the start
 rendezvous are visible to every worker after it, and result-slot writes
 before the end rendezvous are visible to the submitter after it. The locked
 kind gets the same edges from its mutex. Result slots are disjoint per job
-index, so slot writes need no further synchronization. A claimed cursor may
-overshoot the end of the queue by up to one per worker; correctness relies
-only on the bounds comparison.
+index, and shares are disjoint runs of them, so slot writes need no further
+synchronization. A claimed cursor may overshoot the last share by up to one
+per worker; correctness relies only on the bounds comparison.
 """
 
 from __future__ import annotations
@@ -88,6 +95,11 @@ class JobError:
 
     message: str
 
+    @classmethod
+    def of(cls, exc: BaseException) -> "JobError":
+        """The marker for a job whose evaluation raised ``exc``."""
+        return cls(f"{type(exc).__name__}: {exc}")
+
 
 @dataclass(frozen=True)
 class BatchLog:
@@ -110,27 +122,30 @@ def execution_counts(log: BatchLog, n_jobs: int) -> list[int]:
 class JobBatch:
     """A pre-filled job vector with disjoint result slots and an atomic cursor.
 
-    ``fetch`` hands out each index exactly once; once the cursor passes the
-    last job it returns None forever (the overshooting cursor is harmless).
+    The jobs are cut into shares of ``share`` consecutive jobs (the last may
+    be shorter). ``fetch`` hands out each share index exactly once; once the
+    cursor passes the last share it returns None forever (the overshooting
+    cursor is harmless). With ``share=1`` a share index is a job index.
     """
 
-    __slots__ = ("jobs", "results", "end", "_cur")
+    __slots__ = ("jobs", "results", "share", "end", "_cur")
 
-    def __init__(self, jobs: Sequence[Any]):
+    def __init__(self, jobs: Sequence[Any], share: int = 1):
         self.jobs = tuple(jobs)
-        self.end = len(self.jobs) - 1
+        self.share = share
+        self.end = -(-len(self.jobs) // share) - 1  # the last share index
         self.results: list[Any] = [None] * len(self.jobs)
         self._cur = itertools.count()
 
     def fetch(self) -> int | None:
-        """Claim the next unprocessed job index, or None when exhausted."""
+        """Claim the next unprocessed share index, or None when exhausted."""
         idx = next(self._cur)  # atomic fetch-and-increment (see module notes)
         if idx <= self.end:
             return idx
         return None
 
     def cancel(self) -> None:
-        """Hand out no further jobs; jobs already fetched still run."""
+        """Hand out no further shares; shares already fetched still run."""
         self.end = -1
 
 
@@ -144,10 +159,11 @@ class PoolCore:
     for benchmarking.
 
     A queue kind implements ``_prepare`` (its synchronization state),
-    ``_await_batch``, ``_claim`` and ``_end_share`` (the worker's side),
-    ``_run_batch`` (the submitter's side: publish a batch, wait for it) and
-    ``_release`` (wake every parked worker so that it exits). The executor's
-    optional ``worker_session()`` is entered and left by ``_worker``.
+    ``_await_batch``, ``_claim`` (of a share index) and ``_end_share`` (the
+    worker's side), ``_run_batch`` (the submitter's side: publish a batch,
+    wait for it) and ``_release`` (wake every parked worker so that it
+    exits). The executor's optional ``worker_session()`` is entered and left
+    by ``_worker``.
     """
 
     queue_kind: str
@@ -163,6 +179,7 @@ class PoolCore:
             raise ValueError("workers must be >= 1")
         self._workers = workers
         self._executor = executor
+        self._takes_shares = getattr(executor, "takes_shares", False)
         self._diagnostics = diagnostics
         self._guard = threading.Lock()  # serializes submit/shutdown callers
         self._closed = False
@@ -212,26 +229,30 @@ class PoolCore:
         except threading.BrokenBarrierError:
             return
         session = getattr(self._executor, "worker_session", None)
-        claim, diagnostics = self._claim, self._diagnostics
+        claim, diagnostics, takes_shares = self._claim, self._diagnostics, self._takes_shares
         try:
             with session() if session else contextlib.nullcontext(self._executor) as executor:
                 while (batch := self._await_batch()) is not None:
-                    jobs, results = batch.jobs, batch.results
+                    jobs, results, share = batch.jobs, batch.results, batch.share
                     log: list[int] = []
                     busy = ran = 0
                     while (idx := claim(batch)) is not None:
+                        first = idx * share
+                        last = min(first + share, len(jobs))
                         if diagnostics:
                             if self._phase != "running":
-                                self.phase_violations.append((self._batch_seq, widx, idx))
-                            log.append(idx)
+                                self.phase_violations += [(self._batch_seq, widx, i) for i in range(first, last)]
+                            log.extend(range(first, last))
                         t0 = time.perf_counter_ns()
                         try:
-                            result = executor(jobs[idx])
+                            if takes_shares:
+                                results[first:last] = executor(jobs[first:last])
+                            else:
+                                results[idx] = executor(jobs[idx])
                         except Exception as exc:  # a failed job must not stall the batch
-                            result = JobError(f"{type(exc).__name__}: {exc}")
+                            results[first:last] = [JobError.of(exc)] * (last - first)
                         busy += time.perf_counter_ns() - t0
-                        results[idx] = result
-                        ran += 1
+                        ran += last - first
                     self._busy_ns[widx] = busy
                     if diagnostics:
                         self._worker_logs[widx] = log
@@ -267,7 +288,9 @@ class PoolCore:
             if self._closed:
                 raise PoolClosedError("pool closed")
             self._raise_if_broken()
-            batch = JobBatch(jobs)
+            jobs = tuple(jobs)
+            share = -(-len(jobs) // self._workers) if self._takes_shares and jobs else 1
+            batch = JobBatch(jobs, share)
             self._batch_seq += 1
             self._busy_ns = [0] * self._workers
             if self._diagnostics:
@@ -350,9 +373,9 @@ class WorkPool(PoolCore):
 class LockedWorkPool(PoolCore):
     """Mutex/condition-variable reference kind with the same contract.
 
-    Fetching takes one exclusive lock around the cursor; idle workers block
-    on a condition variable until work arrives, and the submitter blocks on a
-    second one until every result slot is filled.
+    Claiming a share takes one exclusive lock around the cursor; idle workers
+    block on a condition variable until work arrives, and the submitter
+    blocks on a second one until every result slot is filled.
     """
 
     queue_kind = "locked"
@@ -361,7 +384,7 @@ class LockedWorkPool(PoolCore):
         self._mutex = threading.Lock()
         self._work_cond = threading.Condition(self._mutex)
         self._done_cond = threading.Condition(self._mutex)
-        self._cur = 0  # next index of self._batch to hand out
+        self._cur = 0  # next share index of self._batch to hand out
         self._done = 0  # jobs of self._batch finished
         self._released = False
 
@@ -375,7 +398,7 @@ class LockedWorkPool(PoolCore):
         with self._mutex:
             idx = self._cur
             # a worker woken for a batch that has since completed must not
-            # take an index of the next one
+            # take a share of the next one
             if batch is not self._batch or idx > batch.end:
                 return None
             self._cur = idx + 1

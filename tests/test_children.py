@@ -1,9 +1,10 @@
 """Persistent evaluation children (the mapping executor wherever fork exists).
 
-Each pool worker forwards its jobs to its own forked child. These tests check
-that the children give exactly what in-process evaluation (``MappingExecutor``)
-gives, and that every way a child can fail ends promptly with one failed job
-and a reaped child. A test patches ``evaluate_mapping`` before the first job;
+Each pool worker forwards its share of a batch to its own forked child as one
+request. These tests check that the children give exactly what in-process
+evaluation (``MappingExecutor``) gives, and that every way a child can fail
+ends promptly with one failed job and a reaped child. A test patches
+``_mapping_costs``, the kernel every evaluation runs, before the first job;
 the fork inherits the patch, so the child runs it.
 """
 
@@ -88,25 +89,36 @@ def test_child_job_errors_read_like_in_process_ones(two_proc_spec):
     assert got[-1] == evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,))
 
 
-def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch):
-    # replies queued in one pipe, an error reply shorter than a fitness reply
-    # among them, come back one per _receive and in order
-    def short_error(spec, mapping, subset, aggregate):
-        if mapping.genes == (1, 1):
-            raise KeyError(1)
-        return evaluate_mapping(spec, mapping, subset, aggregate)
-
-    monkeypatch.setattr(evaluator, "evaluate_mapping", short_error)
-    jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0,))]
+def _serve_requests(spec, requests_bytes):
+    """Run a child's serve loop in this process on the given request bytes;
+    returns the read end of its reply pipe, holding every reply."""
     requests, to_child = os.pipe()
     from_child, replies = os.pipe()
-    for genes, subset in jobs:
-        os.write(to_child, evaluator._request(evaluator.FITNESS, genes, subset))
+    os.write(to_child, requests_bytes)
     os.close(to_child)
-    session = evaluator.EvaluationChild(two_proc_spec, "average")
-    evaluator._serve(session, requests, replies)  # answers all four, then sees EOF
+    evaluator._serve(evaluator.EvaluationChild(spec, "average"), requests, replies)  # answers all, then sees EOF
     os.close(requests)
     os.close(replies)
+    return from_child
+
+
+def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch):
+    # replies queued in one pipe, an error reply shorter than a fitness reply
+    # and one longer among them, come back in order, and a read for some of
+    # them never takes a byte of the replies after them
+    real_costs = evaluator._mapping_costs
+
+    def short_error(spec, mapping, scenarios):
+        if mapping.genes == (1, 1):
+            raise KeyError(1)
+        return real_costs(spec, mapping, scenarios)
+
+    monkeypatch.setattr(evaluator, "_mapping_costs", short_error)
+    jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0,))]
+    from_child = _serve_requests(
+        two_proc_spec, b"".join(evaluator._request(evaluator.FITNESS, genes, subset) for genes, subset in jobs)
+    )
+    session = evaluator.EvaluationChild(two_proc_spec, "average")
     reads = []
     real_read = os.read
 
@@ -119,30 +131,95 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
     session._poll = select.poll()
     session._poll.register(from_child, select.POLLIN)
     try:
-        got = [session._receive() for _ in jobs]
+        got = []
+        for count in (1, 2, 1):
+            got += [payload for _, payload in session._replies(count, time.monotonic())]
         assert real_read(from_child, 1) == b""  # nothing left behind
     finally:
         os.close(from_child)
+    fitness = [evaluate_mapping(two_proc_spec, Mapping(genes=g), (0,)) for g in ((0, 1), (1, 0))]
     assert got == [
-        evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,)),
-        JobError("KeyError: 1"),
-        JobError("ValueError: mapping has 1 genes, expected 2"),
-        evaluate_mapping(two_proc_spec, Mapping(genes=(1, 0)), (0,)),
+        evaluator._FITNESS.pack(fitness[0].value, fitness[0].energy),
+        b"KeyError: 1",
+        b"ValueError: mapping has 1 genes, expected 2",
+        evaluator._FITNESS.pack(fitness[1].value, fitness[1].energy),
     ]
-    fitness_read = evaluator._REPLY.size + evaluator._FITNESS.size
-    assert reads[0] == reads[-1] == fitness_read and reads.count(fitness_read) == 4
-    assert len(reads) == 5  # one more read for the long error text only
+    one = evaluator._MIN_REPLY
+    long_error = evaluator._REPLY.size + len(got[2])
+    # one read per call for replies no longer than a fitness reply; the long
+    # error text takes one more read, for exactly its remaining bytes
+    assert reads == [one, 2 * one, long_error + one - 2 * one, one]
 
 
 def test_a_pool_job_is_a_fitness_request(two_proc_spec, monkeypatch):
-    # the pool's per-job bytes are the one request form every child reads
+    # a one-job share is the one request form every child reads
     sent = []
     monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    monkeypatch.setattr(evaluator.EvaluationChild, "_receive", lambda self: None)
+    monkeypatch.setattr(
+        evaluator.EvaluationChild,
+        "_replies",
+        lambda self, count, sent_at: [(0, evaluator._FITNESS.pack(1.0, 2.0))] * count,
+    )
     session = evaluator.EvaluationChild(two_proc_spec, "average")
-    for genes, subset in [((0, 1), (0,)), ((1, 0, 1), ()), ((), (2, 0))]:
-        session.evaluate((genes, subset))
+    for genes, subset in [((0, 1), (0,)), ((1, 0), ()), ((1, 1), (2, 0))]:
+        assert session.evaluate_share([(genes, subset)]) == [Fitness(value=1.0, energy=2.0)]
         assert sent.pop() == evaluator._request(evaluator.FITNESS, genes, subset)
+
+
+def test_a_share_is_one_fitness_request_per_subset_run(two_proc_spec, monkeypatch):
+    sent = []
+    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
+    monkeypatch.setattr(
+        evaluator.EvaluationChild,
+        "_replies",
+        lambda self, count, sent_at: [(0, evaluator._FITNESS.pack(1.0, 2.0))] * count,
+    )
+    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    share = [((0, 1), (0,)), ((1, 1), (0,)), ((1, 0), (0,)), ((0, 0), (0,))]
+    assert session.evaluate_share(share) == [Fitness(value=1.0, energy=2.0)] * 4
+    assert sent == [evaluator._request(evaluator.FITNESS, (0, 1, 1, 1, 1, 0, 0, 0), (0,))]
+    sent.clear()
+    # a job with another subset starts another request; jobs no request can
+    # carry are evaluated in this thread and join neither
+    share = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0, 0)), ((0, 2**40), (0, 0)), ((0, 0), (0, 0))]
+    got = session.evaluate_share(share)
+    assert sent == [
+        evaluator._request(evaluator.FITNESS, (0, 1, 1, 1), (0,)),
+        evaluator._request(evaluator.FITNESS, (1, 0, 0, 0), (0, 0)),
+    ]
+    assert got == [
+        Fitness(value=1.0, energy=2.0),
+        Fitness(value=1.0, energy=2.0),
+        JobError("ValueError: mapping has 1 genes, expected 2"),
+        Fitness(value=1.0, energy=2.0),
+        JobError("ValueError: gene 1 = 1099511627776 out of range (processors: 2)"),
+        Fitness(value=1.0, energy=2.0),
+    ]
+
+
+def test_serve_answers_a_share_with_one_write_of_its_single_job_replies(two_proc_spec, monkeypatch):
+    vectors = [(0, 1), (0, 2), (1, 1), (1, 0)]  # the second fails: gene out of range
+    subset = (0, 0)
+    from_child = _serve_requests(
+        two_proc_spec, b"".join(evaluator._request(evaluator.FITNESS, genes, subset) for genes in vectors)
+    )
+    try:
+        single = os.read(from_child, 4096)
+    finally:
+        os.close(from_child)
+    writes = []
+    real_write = os.write
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording_write)
+    request = evaluator._request(evaluator.FITNESS, [g for genes in vectors for g in genes], subset)
+    from_child = _serve_requests(two_proc_spec, request)
+    os.close(from_child)
+    assert writes == [request, single]
+    assert single.count(b"ValueError: gene 1 = 2 out of range (processors: 2)") == 1
 
 
 def test_one_child_answers_fitness_and_cost_requests_in_order():
@@ -159,7 +236,7 @@ def test_one_child_answers_fitness_and_cost_requests_in_order():
         assert costs == [evaluator._mapping_costs(spec, m, compiled) for m in mappings]
         # a pool child has no search to scan: it replies with an error and keeps serving
         assert isinstance(session._receive_values(), JobError)
-        assert session.evaluate((mappings[0].genes, subset)) == evaluate_mapping(spec, mappings[0], subset, "worst")
+        assert session.evaluate_share([(mappings[0].genes, subset)]) == [evaluate_mapping(spec, mappings[0], subset, "worst")]
     finally:
         session.stop()
     assert_no_child_process()
@@ -180,6 +257,34 @@ def test_results_identical_at_any_worker_count_and_queue_kind():
                     assert [_hex(r) for r in got] == expected, (queue_kind, workers)
 
 
+def test_a_mixed_batch_gives_the_in_process_results_in_shares():
+    # good jobs with a wrong gene count, an out-of-range gene, a gene beyond
+    # int32, an empty subset and a second subset among them, so shares hold
+    # several requests and jobs evaluated in the worker's thread
+    spec = ga_instance()
+    rng = random.Random(19)
+    full = full_subset(spec)
+    jobs = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(24)]
+    jobs[3] = ((0, 1, 2), full)
+    jobs[7] = ((0, 1, 2, 0, 1, 3), full)
+    jobs[11] = ((0, 1, 2, 0, 1, 2**40), full)
+    jobs[12] = ((0, 1, 2, 0, 1, 2), ())
+    jobs[15:19] = [(genes, (2, 0)) for genes, _ in jobs[15:19]]
+    expected = [MappingExecutor(spec, "average")(job) if i not in (3, 7, 11, 12) else None for i, job in enumerate(jobs)]
+    expected[3] = JobError("ValueError: mapping has 3 genes, expected 6")
+    expected[7] = JobError("ValueError: gene 5 = 3 out of range (processors: 3)")
+    expected[11] = JobError(f"ValueError: gene 5 = {2**40} out of range (processors: 3)")
+    expected[12] = JobError("ValueError: empty scenario subset")
+    with make_pool("lockless", 1, MappingExecutor(spec, "average")) as pool:
+        assert pool.submit_batch(jobs) == expected
+    for queue_kind in QUEUE_KINDS:
+        for workers in (1, 2, 8):
+            with _children(workers, spec, queue_kind=queue_kind) as pool:
+                got = pool.submit_batch(jobs)
+            assert [_hex(r) for r in got] == [_hex(r) for r in expected], (queue_kind, workers)
+    assert_no_child_process()
+
+
 def test_children_fork_on_the_first_job_not_at_pool_start(two_proc_spec, monkeypatch):
     forks = []
     real_fork = os.fork
@@ -197,10 +302,30 @@ def test_children_fork_on_the_first_job_not_at_pool_start(two_proc_spec, monkeyp
         assert set(forks) <= set(pool.worker_idents())
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_children_are_pinned_to_the_cpus_in_turn(two_proc_spec, monkeypatch):
+    # a share runs long, so two children must not be left on one CPU
+    _patch_children(monkeypatch, slow_s=0.2)
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = min(len(cpus), 3) + 1  # wraps round on hosts with up to 3 CPUs
+    what = "a pool whose children are pinned"
+    pool = _children(workers, two_proc_spec)
+    try:
+        results = call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))] * workers), what)
+        pids = [_pid(r) for r in results]
+        assert len(set(pids)) == workers  # 0.2 s jobs, one per worker: every worker took one
+        pinned = sorted(min(os.sched_getaffinity(pid)) for pid in pids)
+        assert all(len(os.sched_getaffinity(pid)) == 1 for pid in pids)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert pinned == sorted(cpus[i % len(cpus)] for i in range(workers))
+    assert_no_child_process()
+
+
 def test_child_keeps_only_its_two_pipe_ends(two_proc_spec, monkeypatch, tmp_path):
     # an inherited descriptor (a sibling's pipe, the parent's files) would
     # keep it open after its owner closed it
-    def open_descriptors(*args):
+    def open_descriptors(spec, mapping, scenarios):
         count = 0
         for fd in range(256):
             try:
@@ -208,9 +333,9 @@ def test_child_keeps_only_its_two_pipe_ends(two_proc_spec, monkeypatch, tmp_path
             except OSError:
                 continue
             count += 1
-        return Fitness(value=float(count), energy=0.0)
+        return [(float(count), 0.0) for _ in scenarios]
 
-    monkeypatch.setattr(evaluator, "evaluate_mapping", open_descriptors)
+    monkeypatch.setattr(evaluator, "_mapping_costs", open_descriptors)
     with open(tmp_path / "held-open.txt", "w", encoding="utf-8") as fh:
         high = os.dup2(fh.fileno(), 200)  # above any pipe end the children get
         try:
@@ -224,12 +349,13 @@ def test_child_keeps_only_its_two_pipe_ends(two_proc_spec, monkeypatch, tmp_path
 # --- failure paths ----------------------------------------------------------
 
 
-def _patch_children(monkeypatch, log_path=None):
+def _patch_children(monkeypatch, log_path=None, slow_s=0.02):
     """Make the children report their pid as the fitness value. Genes (1, 1)
-    kill the child mid-job, genes (1, 0) hang it and genes (0, 0) take 20 ms."""
-    real = evaluator.evaluate_mapping
+    kill the child mid-job, genes (1, 0) hang it and genes (0, 0) take
+    ``slow_s`` seconds."""
+    real = evaluator._mapping_costs
 
-    def evaluate(spec, mapping, subset, aggregate="average"):
+    def costs(spec, mapping, scenarios):
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(f"{mapping.genes}\n")
@@ -238,11 +364,12 @@ def _patch_children(monkeypatch, log_path=None):
         if mapping.genes == (1, 0):
             time.sleep(60)
         if mapping.genes == (0, 0):
-            time.sleep(0.02)
-        real(spec, mapping, subset, aggregate)
-        return Fitness(value=float(os.getpid()), energy=0.0)
+            time.sleep(slow_s)
+        scenarios = list(scenarios)
+        real(spec, mapping, scenarios)
+        return [(float(os.getpid()), 0.0) for _ in scenarios]
 
-    monkeypatch.setattr(evaluator, "evaluate_mapping", evaluate)
+    monkeypatch.setattr(evaluator, "_mapping_costs", costs)
 
 
 def _pid(result) -> int:
@@ -313,6 +440,74 @@ def test_hung_child_is_killed_after_the_timeout(two_proc_spec, monkeypatch):
     assert_no_child_process()
 
 
+def _log_lines(log):
+    return log.read_text().splitlines()
+
+
+def test_a_share_whose_middle_job_kills_the_child(two_proc_spec, monkeypatch, tmp_path):
+    log = tmp_path / "calls.log"
+    _patch_children(monkeypatch, log)
+    pool = _children(1, two_proc_spec)
+    what = "a share whose middle job kills its child"
+    try:
+        first = _pid(call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,))]), what)[0])
+        kept, died, third = call_with_deadline(
+            lambda: pool.submit_batch([((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,))]), what
+        )
+        assert died == JobError("ChildProcessError: evaluation child exited during the job")
+        _pid(kept)
+        last = _pid(third)
+        assert last != first
+        _assert_reaped(first)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert _log_lines(log).count("(0, 0)") == 1  # the job after the culprit ran once
+    _assert_reaped(last)
+    assert_no_child_process()
+
+
+def test_a_share_whose_middle_job_hangs_is_killed_after_the_timeout(two_proc_spec, monkeypatch, tmp_path):
+    log = tmp_path / "calls.log"
+    _patch_children(monkeypatch, log)
+    monkeypatch.setattr(evaluator, "CHILD_JOB_TIMEOUT_S", 0.3)
+    pool = _children(1, two_proc_spec)
+    what = "a share whose middle job hangs its child"
+    try:
+        t0 = time.monotonic()
+        kept, hung, third = call_with_deadline(
+            lambda: pool.submit_batch([((0, 1), (0,)), ((1, 0), (0,)), ((0, 0), (0,))]), what
+        )
+        assert time.monotonic() - t0 < 3
+        assert hung == JobError("TimeoutError: evaluation child gave no result within 0.3 s")
+        _pid(kept)
+        last = _pid(third)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert _log_lines(log).count("(0, 0)") == 1
+    _assert_reaped(last)
+    assert_no_child_process()
+
+
+def test_a_long_healthy_share_meets_every_deadline(two_proc_spec, monkeypatch, tmp_path):
+    # five 0.1 s jobs take longer than one 0.3 s timeout, but each reply is
+    # due (i + 1) timeouts after the send, and the child writes the replies
+    # so far once the oldest has waited half its deadline
+    log = tmp_path / "calls.log"
+    _patch_children(monkeypatch, log, slow_s=0.1)
+    monkeypatch.setattr(evaluator, "CHILD_JOB_TIMEOUT_S", 0.3)
+    pool = _children(1, two_proc_spec)
+    what = "a share of five 0.1 s jobs under a 0.3 s timeout"
+    try:
+        results = call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))] * 5), what)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    pids = {_pid(r) for r in results}
+    assert len(pids) == 1  # one child answered them all
+    assert _log_lines(log) == ["(0, 0)"] * 5  # each ran once
+    _assert_reaped(pids.pop())
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_children_reaped_after_shutdown(two_proc_spec, monkeypatch, queue_kind):
     _patch_children(monkeypatch)
@@ -344,7 +539,8 @@ class _FatalOnGenes:
             def call(job):
                 if job[0] == (1, 2):
                     raise SystemExit
-                return evaluate(job)
+                (result,) = evaluate([job])
+                return result
 
             yield call
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import signal
 import sys
@@ -318,6 +319,39 @@ def test_make_pool():
         assert isinstance(pool, LockedWorkPool)
     with pytest.raises(ValueError):
         make_pool("mystery", 1, lambda j: j)
+
+
+class _ShareExecutor:
+    """Takes shares: each worker's session records the shares it is handed."""
+
+    takes_shares = True
+
+    def __init__(self):
+        self.shares = []
+
+    def __call__(self, job):  # the pool never calls it directly
+        raise AssertionError("a share executor was called with one job")
+
+    @contextlib.contextmanager
+    def worker_session(self):
+        def run(share):
+            self.shares.append(tuple(share))
+            return [job * 3 for job in share]
+
+        yield run
+
+
+@pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
+def test_share_executors_get_runs_of_ceil_n_over_workers_jobs(queue_kind):
+    executor = _ShareExecutor()
+    with make_pool(queue_kind, 3, executor, diagnostics=True) as pool:
+        for n in (10, 2, 0, 9):
+            executor.shares.clear()
+            assert pool.submit_batch(list(range(n))) == [j * 3 for j in range(n)]
+            size = max(1, -(-n // 3))
+            assert sorted(executor.shares) == [tuple(range(i, min(i + size, n))) for i in range(0, n, size)]
+            # the log holds every job index of each claimed share, once
+            assert execution_counts(pool.batch_logs[-1], n) == [1] * n
 
 
 def test_execution_counts_helper():
