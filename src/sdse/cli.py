@@ -251,8 +251,8 @@ def _cmd_evaluate(args) -> int:
     costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
     for scen, (makespan, energy) in zip(spec.scenarios, costs):
         print(f"{scen.name}: makespan={makespan!r} energy={energy!r}")
-    fitness = _aggregate_costs(costs, args.aggregate)
-    print(f"aggregate({args.aggregate}): value={fitness.value!r} energy={fitness.energy!r}")
+    value, energy = _aggregate_costs(costs, args.aggregate)
+    print(f"aggregate({args.aggregate}): value={value!r} energy={energy!r}")
     return EXIT_OK
 
 

@@ -9,13 +9,18 @@ summation order.
 Each spec is compiled once, on first evaluation, into dense index form
 (:attr:`SystemSpec.compiled_scenarios`): per scenario, one row of compute
 demand over processor speed per distinct speed, and one row of channel data
-demands. One kernel, :func:`_mapping_costs`, evaluates a mapping over a run
-of compiled scenarios and is the only evaluation path. It groups the
-processes by processor and marks the external channels once per mapping; per
-scenario, each processor's busy time is a C-level gather from its speed's
-row, and the external data is the masked data row. Zero demands are stored
-as ``0.0``, so every ``math.fsum`` sees the same non-zero terms as a sum over
-the scenario's demands and results are exact to the bit.
+demands. What the evaluation needs of the spec besides its scenarios (the
+channel endpoints as two getters, the processor powers, the interconnect
+constants and an idle busy vector) is compiled beside it, also on first
+use (:attr:`SystemSpec.compiled_constants`). One kernel, :func:`_genes_costs`,
+evaluates a gene vector that fits the spec over a run of compiled scenarios
+and is the only evaluation path; :func:`_mapping_costs` checks a mapping
+first. The kernel groups the processes by processor and marks the external
+channels once per mapping; per scenario, each processor's busy time is a
+C-level gather from its speed's row, and the external data is the masked
+data row. Zero demands are stored as ``0.0``, so every ``math.fsum`` sees
+the same non-zero terms as a sum over the scenario's demands and results
+are exact to the bit.
 
 Wherever ``os.fork`` exists, the pool's mapping executor gives each pool
 worker one persistent forked child (:class:`EvaluationChild`) through the
@@ -28,6 +33,17 @@ where the OS allows it. Without fork, the worker threads
 evaluate in process (:class:`MappingExecutor`), one job at a time, holding
 the GIL while they do. Results travel as exact doubles, so both give
 bit-identical fitness.
+
+A share's protocol work is done in bulk on both sides of the pipe, since
+the workers do it one after another while holding the GIL. The parent
+frames a share whose jobs all have the spec's gene count and one subset in
+one pass (:func:`_share_request`), and reads its replies with one
+``os.read`` and one unpack when they are all plain fitness replies
+(:func:`_fitness_values`). The child range-checks a request's genes once
+and packs each reply in one call (:func:`_fitness_replies`). A share that
+fails a bulk test (a wrong gene count, mixed subsets, a gene out of range,
+an error reply, replies written early) takes the per-job path instead,
+with the same results, error texts and deadlines.
 
 Every forked child, the pool's and the subset selector's helper alike,
 runs one serve loop (:func:`_serve`) over one request form, whose kind
@@ -54,7 +70,7 @@ import struct
 import time
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
@@ -115,19 +131,26 @@ def _mapping_costs(
     Raises ValueError if the mapping does not fit the spec.
     """
     spec.check_mapping(mapping)
-    genes = mapping.genes
-    members: list[list[int]] = [[] for _ in range(spec.n_processors)]
+    return _genes_costs(spec, mapping.genes, scenarios)
+
+
+def _genes_costs(
+    spec: SystemSpec, genes: Sequence[int], scenarios: Iterable[CompiledScenario]
+) -> list[tuple[float, float]]:
+    """The kernel: (makespan, energy) of a gene vector on each compiled
+    scenario, in order. The genes must fit the spec (see
+    :meth:`SystemSpec.check_mapping`); every evaluation runs this."""
+    const = spec.compiled_constants
+    idle = const.idle
+    members: list[list[int]] = [[] for _ in idle]
     for i, g in enumerate(genes):
         members[g].append(i)
     # busy[r] stays 0.0 for an empty processor and is the one quotient itself
     # for a processor with a single process
     gathered = [(r, itemgetter(*m)) for r, m in enumerate(members) if len(m) > 1]
     single = [(r, m[0]) for r, m in enumerate(members) if len(m) == 1]
-    external = [genes[i] != genes[j] for i, j in spec.channel_ends]
-    power = [p.power for p in spec.architecture.processors]
-    ic = spec.architecture.interconnect
-    bandwidth, energy_per_unit = ic.bandwidth, ic.energy_per_unit
-    idle = [0.0] * len(power)
+    external = list(map(ne, const.channel_from(genes), const.channel_to(genes)))
+    power, bandwidth, energy_per_unit = const.power, const.bandwidth, const.energy_per_unit
     fsum = math.fsum
     costs = []
     for scen in scenarios:
@@ -170,14 +193,15 @@ def evaluate_mapping(
     if len(subset) == 0:
         raise ValueError("empty scenario subset")
     scenarios = map(spec.compiled_scenarios.__getitem__, subset)
-    return _aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate)
+    return Fitness(*_aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate))
 
 
-def _aggregate_costs(costs: Sequence[tuple[float, float]], aggregate: str) -> Fitness:
-    """Fitness from per-scenario (makespan, energy) pairs, in subset order."""
-    return Fitness(
-        value=aggregate_values([makespan for makespan, _ in costs], aggregate),
-        energy=aggregate_values([energy for _, energy in costs], aggregate),
+def _aggregate_costs(costs: Sequence[tuple[float, float]], aggregate: str) -> tuple[float, float]:
+    """The fitness (value, energy) of per-scenario (makespan, energy) pairs,
+    in subset order."""
+    return (
+        aggregate_values([makespan for makespan, _ in costs], aggregate),
+        aggregate_values([energy for _, energy in costs], aggregate),
     )
 
 
@@ -293,6 +317,8 @@ _REQUEST = struct.Struct("<BBiii")  # kind, another request follows, lengths of 
 _REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes (see _reply)
 _FITNESS = struct.Struct("<dd")  # value, energy
 _MIN_REPLY = _REPLY.size + _FITNESS.size  # every reply is at least this long (see _reply)
+_FITNESS_REPLY = struct.Struct("<BIdd")  # a whole fitness reply: _REPLY (0, _FITNESS.size), then _FITNESS
+_FITNESS_HEAD = _REPLY.pack(0, _FITNESS.size)  # the header of every fitness reply
 
 
 class MappingExecutor:
@@ -411,14 +437,19 @@ class EvaluationChild:
         """The fitness, or the JobError, of each job, in order.
 
         Each run of consecutive jobs with the same subset is one ``FITNESS``
-        request carrying their gene vectors. A job whose gene count is not
-        the spec's, or that holds a value no int32 holds (no spec accepts
-        one), is evaluated in this thread instead, as
+        request carrying their gene vectors; a share that is one such run
+        is framed in one pass (:func:`_share_request`). A job whose gene
+        count is not the spec's, or that holds a value no int32 holds (no
+        spec accepts one), is evaluated in this thread instead, as
         :class:`MappingExecutor` does, with the same result or error.
         """
         results: list = [None] * len(jobs)
         spec, aggregate = self._spec, self._aggregate
         n_genes = len(spec.processes)
+        request = _share_request(jobs, n_genes)
+        if request is not None:
+            self._ask(request, jobs, range(len(jobs)), results)
+            return results
         asked: list[int] = []
         for i, (genes, subset) in enumerate(jobs):
             if len(genes) != n_genes or not n_genes:
@@ -446,8 +477,14 @@ class EvaluationChild:
             return
         self._ask(request, jobs, asked, results)
 
-    def _ask(self, request: bytes, jobs: Sequence[MappingJob], asked: list[int], results: list) -> None:
+    def _ask(self, request: bytes, jobs: Sequence[MappingJob], asked: Sequence[int], results: list) -> None:
         """Send one FITNESS request and store its replies in the asked slots.
+
+        The first read asks for as many bytes as the replies must hold at
+        least; when it returns exactly that many plain fitness replies, one
+        unpack gives them all. Otherwise (an error reply, or replies the
+        child wrote early) they are parsed one by one by :meth:`_replies`,
+        starting with the bytes already read.
 
         If the child exits or misses a deadline, the replies already read
         are kept. With one reply unread, that job gets the ``JobError`` of
@@ -459,7 +496,14 @@ class EvaluationChild:
         read = 0
         try:
             self._send(request)
-            for status, payload in self._replies(len(asked), time.monotonic()):
+            sent = time.monotonic()
+            data = self._read(len(asked) * _MIN_REPLY, sent + CHILD_JOB_TIMEOUT_S)
+            values = _fitness_values(data, len(asked))
+            if values is not None:
+                for i, fitness in zip(asked, values):
+                    results[i] = fitness
+                return
+            for status, payload in self._replies(len(asked), sent, data):
                 results[asked[read]] = JobError(payload.decode()) if status else Fitness(*_FITNESS.unpack(payload))
                 read += 1
         except Exception as exc:
@@ -493,15 +537,15 @@ class EvaluationChild:
             self._start()
             _write_all(self._to_child, request)
 
-    def _replies(self, count: int, sent: float) -> Iterator[tuple[int, bytes]]:
-        """The child's next ``count`` replies as (status, payload), in order;
-        reply i is due (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after ``sent``.
+    def _replies(self, count: int, sent: float, data: bytes = b"") -> Iterator[tuple[int, bytes]]:
+        """The child's next ``count`` replies as (status, payload), in order,
+        the first of them starting at ``data`` (bytes already read); reply i
+        is due (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after ``sent``.
 
         Each read asks for as many bytes as the replies still due must hold
         (every reply is at least ``_MIN_REPLY`` long), so a share's replies
         written together take one ``os.read``, and the bytes of a reply
         queued behind the last one stay in the pipe."""
-        data = b""
         for i in range(count):
             deadline = sent + (i + 1) * CHILD_JOB_TIMEOUT_S
             while True:
@@ -528,7 +572,7 @@ class EvaluationChild:
 
     def _start(self) -> None:
         spec = self._spec
-        spec.channel_ends, spec.compiled_scenarios  # built here, inherited by the child
+        spec.compiled_constants, spec.compiled_scenarios  # built here, inherited by the child
         requests, to_child = os.pipe()
         from_child, replies = os.pipe()
         try:
@@ -565,6 +609,44 @@ def _request(kind: int, a: Sequence[int], b: Sequence[int], doubles: Sequence[fl
     """One request; ``follows`` tells the child that another comes soon."""
     n, m = len(a) + len(b), len(doubles)
     return struct.pack(f"<BBiii{n}i{m}d", kind, follows, len(a), len(b), m, *a, *b, *doubles)
+
+
+@functools.lru_cache(maxsize=64)
+def _int32s(n: int) -> struct.Struct:
+    """The packing of n int32 values, one per gene count or subset length."""
+    return struct.Struct(f"<{n}i")
+
+
+def _share_request(jobs: Sequence[MappingJob], n_genes: int) -> "bytes | None":
+    """The ``FITNESS`` request for a whole share, framed in one pass: the
+    bytes of ``_request(FITNESS, <all gene vectors>, subset)``. None unless
+    every job has ``n_genes`` (> 0) genes and the first job's subset, and
+    every value fits an int32."""
+    if not jobs or not n_genes:
+        return None
+    subset = jobs[0][1]
+    pack = _int32s(n_genes).pack
+    try:
+        vectors = [pack(*genes) for genes, other in jobs if other is subset or other == subset]
+        tail = _int32s(len(subset)).pack(*subset)
+    except (struct.error, TypeError):
+        return None
+    if len(vectors) < len(jobs):
+        return None
+    return _REQUEST.pack(FITNESS, False, n_genes * len(jobs), len(subset), 0) + b"".join(vectors) + tail
+
+
+def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
+    """The fitness of each reply in ``data``, or None unless it holds
+    exactly ``count`` plain fitness replies. Reply headers sit every
+    ``_MIN_REPLY`` bytes until the first longer reply, which is an error
+    reply, so a column of header bytes that all match proves the rest."""
+    if len(data) != count * _MIN_REPLY:
+        return None
+    for k, byte in enumerate(_FITNESS_HEAD):
+        if data[k::_MIN_REPLY].count(byte) != count:
+            return None
+    return [Fitness(value, energy) for _, _, value, energy in _FITNESS_REPLY.iter_unpack(data)]
 
 
 def _int32(values: Sequence[int]) -> bool:
@@ -649,31 +731,34 @@ def _fitness_replies(
     multiple of the gene count, and one vector otherwise.
 
     The subset's compiled scenarios are looked up once for all vectors.
-    The replies are returned to be written together, but once the oldest
-    one not yet written has waited half its deadline (reply i is due
+    When all of run A passes one range check, each vector goes straight to
+    the kernel and its reply is packed in one call; otherwise each is
+    evaluated as :func:`evaluate_mapping` does it, with the same result or
+    error. The replies are returned to be written together, but once the
+    oldest one not yet written has waited half its deadline (reply i is due
     (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after the request), those so far
     are written first, so a share whose jobs each take under half the
     timeout meets every deadline."""
     n_genes = len(spec.processes)
-    if n_genes and a and not len(a) % n_genes:
-        vectors = [a[i : i + n_genes] for i in range(0, len(a), n_genes)]
-    else:
-        vectors = [a]
+    whole = n_genes and a and not len(a) % n_genes
+    vectors = [a[i : i + n_genes] for i in range(0, len(a), n_genes)] if whole else [a]
     try:
         scenarios = [spec.compiled_scenarios[s] for s in subset] if subset else None
     except IndexError:
         scenarios = None  # each job then fails as evaluate_mapping fails it
+    fits = whole and scenarios is not None and 0 <= min(a) and max(a) < spec.n_processors
+    pack = _FITNESS_REPLY.pack
     half = CHILD_JOB_TIMEOUT_S / 2
     written = 0
     out = []
     for genes in vectors:
-        mapping = Mapping(genes=genes)
         try:
-            if scenarios is None:
-                fitness = evaluate_mapping(spec, mapping, subset, aggregate)
+            if fits:
+                value, energy = _aggregate_costs(_genes_costs(spec, genes, scenarios), aggregate)
             else:
-                fitness = _aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate)
-            out.append(_reply(0, _FITNESS.pack(fitness.value, fitness.energy)))
+                fitness = evaluate_mapping(spec, Mapping(genes=genes), subset, aggregate)
+                value, energy = fitness.value, fitness.energy
+            out.append(pack(0, _FITNESS.size, value, energy))
         except Exception as exc:
             out.append(_error_reply(exc))
         if time.monotonic() - received >= (written + 1) * half:

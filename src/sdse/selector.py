@@ -222,7 +222,7 @@ class TrainingSet:
             costs = _mapping_costs(spec, mapping, spec.compiled_scenarios)
         self.add(
             mapping,
-            _aggregate_costs(costs, aggregate),
+            Fitness(*_aggregate_costs(costs, aggregate)),
             row=tuple(makespan for makespan, _ in costs),
         )
 

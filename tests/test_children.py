@@ -4,11 +4,12 @@ Each pool worker forwards its share of a batch to its own forked child as one
 request. These tests check that the children give exactly what in-process
 evaluation (``MappingExecutor``) gives, and that every way a child can fail
 ends promptly with one failed job and a reaped child. A test patches
-``_mapping_costs``, the kernel every evaluation runs, before the first job;
+``_genes_costs``, the kernel every evaluation runs, before the first job;
 the fork inherits the patch, so the child runs it.
 """
 
 import contextlib
+import json
 import os
 import random
 import select
@@ -27,7 +28,7 @@ from sdse.evaluator import (
     full_subset,
     make_mapping_executor,
 )
-from sdse.model import Mapping
+from sdse.model import Mapping, SystemSpec, parse_config
 from sdse.workpool import QUEUE_KINDS, BrokenPoolError, JobError, make_pool
 
 from conftest import assert_no_child_process, call_with_deadline, ga_instance
@@ -102,18 +103,24 @@ def _serve_requests(spec, requests_bytes):
     return from_child
 
 
+def _fail_genes_1_1_with_a_short_error(monkeypatch):
+    """Make the kernel raise ``KeyError(1)`` for genes (1, 1), whose reply
+    is no longer than a fitness reply."""
+    real_costs = evaluator._genes_costs
+
+    def short_error(spec, genes, scenarios):
+        if genes == (1, 1):
+            raise KeyError(1)
+        return real_costs(spec, genes, scenarios)
+
+    monkeypatch.setattr(evaluator, "_genes_costs", short_error)
+
+
 def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch):
     # replies queued in one pipe, an error reply shorter than a fitness reply
     # and one longer among them, come back in order, and a read for some of
     # them never takes a byte of the replies after them
-    real_costs = evaluator._mapping_costs
-
-    def short_error(spec, mapping, scenarios):
-        if mapping.genes == (1, 1):
-            raise KeyError(1)
-        return real_costs(spec, mapping, scenarios)
-
-    monkeypatch.setattr(evaluator, "_mapping_costs", short_error)
+    _fail_genes_1_1_with_a_short_error(monkeypatch)
     jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0,))]
     from_child = _serve_requests(
         two_proc_spec, b"".join(evaluator._request(evaluator.FITNESS, genes, subset) for genes, subset in jobs)
@@ -151,15 +158,18 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
     assert reads == [one, 2 * one, long_error + one - 2 * one, one]
 
 
+def _reply_fitness_to_every_read(monkeypatch, value, energy):
+    """Make every read of a session's reply pipe return as many fitness
+    replies of ``(value, energy)`` as it asks bytes for."""
+    reply = evaluator._REPLY.pack(0, evaluator._FITNESS.size) + evaluator._FITNESS.pack(value, energy)
+    monkeypatch.setattr(evaluator.EvaluationChild, "_read", lambda self, n, deadline: reply * (n // len(reply)))
+
+
 def test_a_pool_job_is_a_fitness_request(two_proc_spec, monkeypatch):
     # a one-job share is the one request form every child reads
     sent = []
     monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    monkeypatch.setattr(
-        evaluator.EvaluationChild,
-        "_replies",
-        lambda self, count, sent_at: [(0, evaluator._FITNESS.pack(1.0, 2.0))] * count,
-    )
+    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
     session = evaluator.EvaluationChild(two_proc_spec, "average")
     for genes, subset in [((0, 1), (0,)), ((1, 0), ()), ((1, 1), (2, 0))]:
         assert session.evaluate_share([(genes, subset)]) == [Fitness(value=1.0, energy=2.0)]
@@ -169,11 +179,7 @@ def test_a_pool_job_is_a_fitness_request(two_proc_spec, monkeypatch):
 def test_a_share_is_one_fitness_request_per_subset_run(two_proc_spec, monkeypatch):
     sent = []
     monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    monkeypatch.setattr(
-        evaluator.EvaluationChild,
-        "_replies",
-        lambda self, count, sent_at: [(0, evaluator._FITNESS.pack(1.0, 2.0))] * count,
-    )
+    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
     session = evaluator.EvaluationChild(two_proc_spec, "average")
     share = [((0, 1), (0,)), ((1, 1), (0,)), ((1, 0), (0,)), ((0, 0), (0,))]
     assert session.evaluate_share(share) == [Fitness(value=1.0, energy=2.0)] * 4
@@ -195,6 +201,201 @@ def test_a_share_is_one_fitness_request_per_subset_run(two_proc_spec, monkeypatc
         JobError("ValueError: gene 1 = 1099511627776 out of range (processors: 2)"),
         Fitness(value=1.0, energy=2.0),
     ]
+
+
+def _chain_spec(n_procs, n_channels, seed=0):
+    """One application of ``n_procs`` processes whose first ``n_channels``
+    neighbours are joined by channels, on three processors of distinct
+    speeds, over four scenarios of arbitrary float demands."""
+    rng = random.Random(seed)
+    procs = [f"p{i}" for i in range(n_procs)]
+    channels = [[procs[i], procs[i + 1]] for i in range(n_channels)]
+    return parse_config(
+        json.dumps(
+            {
+                "applications": [{"name": "app", "processes": procs, "channels": channels}],
+                "architecture": {
+                    "processors": [
+                        {"name": f"cpu{r}", "speed": rng.uniform(0.5, 3.0), "power": rng.uniform(0.0, 2.0)}
+                        for r in range(3)
+                    ],
+                    "interconnect": {"bandwidth": rng.uniform(0.5, 4.0), "energy_per_unit": rng.uniform(0.0, 1.0)},
+                },
+                "scenarios": [
+                    {
+                        "name": f"s{k}",
+                        "active_apps": ["app"],
+                        "comp": {p: rng.uniform(0.0, 100.0) for p in procs},
+                        "data": {"->".join(ch): rng.uniform(0.0, 50.0) for ch in channels},
+                    }
+                    for k in range(4)
+                ],
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize("n_genes", [1, 64])
+@pytest.mark.parametrize("n_jobs", [1, 16])
+def test_a_share_of_one_subset_is_the_fitness_request_of_its_vectors(monkeypatch, n_genes, n_jobs):
+    # equal subsets that are distinct objects still make one request
+    spec = _chain_spec(n_genes, n_genes - 1)
+    rng = random.Random(n_genes * 100 + n_jobs)
+    subset = (3, 0, 2)
+    share = [(tuple(rng.randrange(3) for _ in range(n_genes)), tuple(list(subset))) for _ in range(n_jobs)]
+    sent = []
+    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
+    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
+    session = evaluator.EvaluationChild(spec, "average")
+    assert session.evaluate_share(share) == [Fitness(value=1.0, energy=2.0)] * n_jobs
+    assert sent == [evaluator._request(evaluator.FITNESS, [g for genes, _ in share for g in genes], subset)]
+
+
+def _in_process(spec, jobs, aggregate="average"):
+    with make_pool("lockless", 1, MappingExecutor(spec, aggregate)) as pool:
+        return pool.submit_batch(jobs)
+
+
+def test_a_share_mixing_fitness_and_error_replies_keeps_each_in_its_slot(two_proc_spec, monkeypatch):
+    # a short error reply is as long as a fitness reply, a long one longer;
+    # either sends the parent's reading of the share down the per-reply path
+    _fail_genes_1_1_with_a_short_error(monkeypatch)
+    shares = [
+        [((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,)), ((1, 0), (0,))],
+        [((0, 1), (0,)), ((0, 2), (0,)), ((1, 0), (0,)), ((1, 1), (0,))],
+    ]
+    for share in shares:
+        expected = _in_process(two_proc_spec, share)
+        with _children(1, two_proc_spec) as pool:
+            got = pool.submit_batch(share)
+        assert [_hex(r) for r in got] == [_hex(r) for r in expected]
+    assert got[1] == JobError("ValueError: gene 1 = 2 out of range (processors: 2)")
+    assert got[3] == JobError("KeyError: 1")
+    assert_no_child_process()
+
+
+def test_a_gene_out_of_range_sends_the_child_down_the_per_job_path(monkeypatch):
+    spec = ga_instance()
+    rng = random.Random(23)
+    full = full_subset(spec)
+    share = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(8)]
+    share[5] = ((0, 1, 2, 7, 1, 0), full)
+    expected = _in_process(spec, share)
+    assert expected[5] == JobError("ValueError: gene 3 = 7 out of range (processors: 3)")
+    with _children(1, spec) as pool:
+        got = pool.submit_batch(share)
+    assert [_hex(r) for r in got] == [_hex(r) for r in expected]
+    checks = []
+    real_check = SystemSpec.check_mapping
+    monkeypatch.setattr(SystemSpec, "check_mapping", lambda self, m: checks.append(m) or real_check(self, m))
+    for jobs, n_checks in ((share[:5], 0), (share, 8)):
+        checks.clear()
+        request = evaluator._request(evaluator.FITNESS, [g for genes, _ in jobs for g in genes], full)
+        os.close(_serve_requests(spec, request))
+        assert len(checks) == n_checks  # one range check for all of run A, else one per vector
+
+
+def test_a_valid_share_costs_no_per_job_check_fitness_or_reply_parse(monkeypatch):
+    # the counts per valid 16-job share: child check_mapping calls, child
+    # Fitness objects and parent per-reply iterations are all zero
+    spec = ga_instance()
+    rng = random.Random(29)
+    full = full_subset(spec)
+    share = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(16)]
+    expected = _in_process(spec, share)
+    counts = {"check_mapping": 0, "Fitness": 0}
+    real_check, real_fitness = SystemSpec.check_mapping, evaluator.Fitness
+
+    def counting_check(self, mapping):
+        counts["check_mapping"] += 1
+        return real_check(self, mapping)
+
+    def counting_fitness(*args, **kwargs):
+        counts["Fitness"] += 1
+        return real_fitness(*args, **kwargs)
+
+    monkeypatch.setattr(SystemSpec, "check_mapping", counting_check)
+    monkeypatch.setattr(evaluator, "Fitness", counting_fitness)
+    request = evaluator._request(evaluator.FITNESS, [g for genes, _ in share for g in genes], full)
+    from_child = _serve_requests(spec, request)
+    try:
+        replies = os.read(from_child, 4096)
+    finally:
+        os.close(from_child)
+    assert counts == {"check_mapping": 0, "Fitness": 0}
+    assert len(replies) == 16 * evaluator._MIN_REPLY
+    monkeypatch.undo()
+
+    def no_replies(self, count, sent, data=b""):
+        raise AssertionError("a reply was parsed on its own")
+
+    monkeypatch.setattr(evaluator.EvaluationChild, "_replies", no_replies)
+    session = evaluator.EvaluationChild(spec, "average")
+    try:
+        assert [_hex(r) for r in session.evaluate_share(share)] == [_hex(r) for r in expected]
+    finally:
+        session.stop()
+    assert_no_child_process()
+
+
+def test_replies_written_early_are_read_into_their_own_slots(monkeypatch):
+    # five 0.1 s jobs under a 0.3 s timeout: the child writes two replies
+    # after 0.2 s and three more after 0.5 s, so the parent's first read
+    # holds only the first two and the rest are read one by one
+    spec = ga_instance()
+    rng = random.Random(31)
+    full = full_subset(spec)
+    share = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(5)]
+    expected = _in_process(spec, share)
+    real_costs = evaluator._genes_costs
+
+    def slow(spec, genes, scenarios):
+        time.sleep(0.1)
+        return real_costs(spec, genes, scenarios)
+
+    monkeypatch.setattr(evaluator, "_genes_costs", slow)
+    monkeypatch.setattr(evaluator, "CHILD_JOB_TIMEOUT_S", 0.3)
+    pool = _children(1, spec)
+    what = "a share whose child writes its replies early"
+    try:
+        got = call_with_deadline(lambda: pool.submit_batch(share), what)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert [_hex(r) for r in got] == [_hex(r) for r in expected]
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("n_channels", [0, 1])
+def test_specs_with_no_channel_or_one_match_in_process_evaluation(n_channels):
+    spec = _chain_spec(5, n_channels, seed=n_channels)
+    rng = random.Random(37)
+    subsets = [full_subset(spec), (2,), (3, 1)]
+    jobs = [(tuple(rng.randrange(3) for _ in range(5)), subsets[i % 3]) for i in range(24)]
+    for aggregate in AGGREGATES:
+        expected = [_hex(MappingExecutor(spec, aggregate)(job)) for job in jobs]
+        for workers in (1, 2, 8):
+            with _children(workers, spec, aggregate) as pool:
+                got = pool.submit_batch(jobs)
+            assert [_hex(r) for r in got] == expected, (aggregate, workers)
+    assert_no_child_process()
+
+
+def test_spec_constants_built_before_the_fork_not_at_parse(monkeypatch):
+    spec = ga_instance()  # freshly parsed
+    lazy = {"compiled_constants", "compiled_scenarios"}
+    assert not lazy & vars(spec).keys()  # parsing compiles nothing
+    built_at_fork = []
+    real_fork = os.fork
+
+    def checking_fork():
+        built_at_fork.append(lazy <= vars(spec).keys())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", checking_fork)
+    with _children(2, spec) as pool:
+        assert not lazy & vars(spec).keys()  # nor does starting the pool
+        pool.submit_batch([(genes, full_subset(spec)) for genes in [(0, 1, 2, 0, 1, 2)] * 8])
+    assert built_at_fork and all(built_at_fork)
 
 
 def test_serve_answers_a_share_with_one_write_of_its_single_job_replies(two_proc_spec, monkeypatch):
@@ -325,7 +526,7 @@ def test_children_are_pinned_to_the_cpus_in_turn(two_proc_spec, monkeypatch):
 def test_child_keeps_only_its_two_pipe_ends(two_proc_spec, monkeypatch, tmp_path):
     # an inherited descriptor (a sibling's pipe, the parent's files) would
     # keep it open after its owner closed it
-    def open_descriptors(spec, mapping, scenarios):
+    def open_descriptors(spec, genes, scenarios):
         count = 0
         for fd in range(256):
             try:
@@ -335,7 +536,7 @@ def test_child_keeps_only_its_two_pipe_ends(two_proc_spec, monkeypatch, tmp_path
             count += 1
         return [(float(count), 0.0) for _ in scenarios]
 
-    monkeypatch.setattr(evaluator, "_mapping_costs", open_descriptors)
+    monkeypatch.setattr(evaluator, "_genes_costs", open_descriptors)
     with open(tmp_path / "held-open.txt", "w", encoding="utf-8") as fh:
         high = os.dup2(fh.fileno(), 200)  # above any pipe end the children get
         try:
@@ -353,23 +554,23 @@ def _patch_children(monkeypatch, log_path=None, slow_s=0.02):
     """Make the children report their pid as the fitness value. Genes (1, 1)
     kill the child mid-job, genes (1, 0) hang it and genes (0, 0) take
     ``slow_s`` seconds."""
-    real = evaluator._mapping_costs
+    real = evaluator._genes_costs
 
-    def costs(spec, mapping, scenarios):
+    def costs(spec, genes, scenarios):
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{mapping.genes}\n")
-        if mapping.genes == (1, 1):
+                fh.write(f"{genes}\n")
+        if genes == (1, 1):
             os._exit(7)
-        if mapping.genes == (1, 0):
+        if genes == (1, 0):
             time.sleep(60)
-        if mapping.genes == (0, 0):
+        if genes == (0, 0):
             time.sleep(slow_s)
         scenarios = list(scenarios)
-        real(spec, mapping, scenarios)
+        real(spec, genes, scenarios)
         return [(float(os.getpid()), 0.0) for _ in scenarios]
 
-    monkeypatch.setattr(evaluator, "_mapping_costs", costs)
+    monkeypatch.setattr(evaluator, "_genes_costs", costs)
 
 
 def _pid(result) -> int:
