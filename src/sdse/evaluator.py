@@ -638,9 +638,9 @@ def _share_request(jobs: Sequence[MappingJob], n_genes: int) -> "bytes | None":
 
 def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
     """The fitness of each reply in ``data``, or None unless it holds
-    exactly ``count`` plain fitness replies. Reply headers sit every
-    ``_MIN_REPLY`` bytes until the first longer reply, which is an error
-    reply, so a column of header bytes that all match proves the rest."""
+    exactly ``count`` plain fitness replies. A reply with the fitness header
+    is exactly ``_MIN_REPLY`` bytes long, so when the header bytes every
+    ``_MIN_REPLY`` bytes all match, every reply starts where it was checked."""
     if len(data) != count * _MIN_REPLY:
         return None
     for k, byte in enumerate(_FITNESS_HEAD):
