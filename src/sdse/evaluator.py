@@ -9,18 +9,14 @@ summation order.
 Each spec is compiled once, on first evaluation, into dense index form
 (:attr:`SystemSpec.compiled_scenarios`): per scenario, one row of compute
 demand over processor speed per distinct speed, and one row of channel data
-demands. What the evaluation needs of the spec besides its scenarios (the
-channel endpoints as two getters, the processor powers, the interconnect
-constants and an idle busy vector) is compiled beside it, also on first
-use (:attr:`SystemSpec.compiled_constants`). One kernel, :func:`_genes_costs`,
-evaluates a gene vector that fits the spec over a run of compiled scenarios
-and is the only evaluation path; :func:`_mapping_costs` checks a mapping
-first. The kernel groups the processes by processor and marks the external
-channels once per mapping; per scenario, each processor's busy time is a
-C-level gather from its speed's row, and the external data is the masked
-data row. Zero demands are stored as ``0.0``, so every ``math.fsum`` sees
-the same non-zero terms as a sum over the scenario's demands and results
-are exact to the bit.
+demands. One kernel, :func:`_genes_costs`, evaluates a gene vector that
+fits the spec over a run of compiled scenarios and is the only evaluation
+path; :func:`_mapping_costs` checks a mapping first. The kernel groups the
+processes by processor and marks the external channels once per mapping;
+per scenario, each processor's busy time is a C-level gather from its
+speed's row, and the external data is the masked data row. Zero demands
+are stored as ``0.0``, so every ``math.fsum`` sees the same non-zero terms
+as a sum over the scenario's demands and results are exact to the bit.
 
 Wherever ``os.fork`` exists, the pool's mapping executor gives each pool
 worker one persistent forked child (:class:`EvaluationChild`) through the
@@ -36,14 +32,14 @@ bit-identical fitness.
 
 A share's protocol work is done in bulk on both sides of the pipe, since
 the workers do it one after another while holding the GIL. The parent
-frames a share whose jobs all have the spec's gene count and one subset in
-one pass (:func:`_share_request`), and reads its replies with one
-``os.read`` and one unpack when they are all plain fitness replies
-(:func:`_fitness_values`). The child range-checks a request's genes once
-and packs each reply in one call (:func:`_fitness_replies`). A share that
-fails a bulk test (a wrong gene count, mixed subsets, a gene out of range,
-an error reply, replies written early) takes the per-job path instead,
-with the same results, error texts and deadlines.
+packs each gene vector of a request with one cached ``struct.Struct`` and
+joins them (:meth:`EvaluationChild._ask_run`), and reads a request's
+replies with one ``os.read`` and one unpack when they are all plain fitness
+replies (:func:`_fitness_values`). The child range-checks a request's
+genes once and packs each reply in one call (:func:`_fitness_replies`). A
+request that fails a bulk test (a gene out of range, an error reply,
+replies written early) takes the per-job path instead, with the same
+results, error texts and deadlines.
 
 Every forked child, the pool's and the subset selector's helper alike,
 runs one serve loop (:func:`_serve`) over one request form, whose kind
@@ -70,7 +66,7 @@ import struct
 import time
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter, mul, ne
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
@@ -140,17 +136,18 @@ def _genes_costs(
     """The kernel: (makespan, energy) of a gene vector on each compiled
     scenario, in order. The genes must fit the spec (see
     :meth:`SystemSpec.check_mapping`); every evaluation runs this."""
-    const = spec.compiled_constants
-    idle = const.idle
-    members: list[list[int]] = [[] for _ in idle]
+    members: list[list[int]] = [[] for _ in range(spec.n_processors)]
     for i, g in enumerate(genes):
         members[g].append(i)
     # busy[r] stays 0.0 for an empty processor and is the one quotient itself
     # for a processor with a single process
     gathered = [(r, itemgetter(*m)) for r, m in enumerate(members) if len(m) > 1]
     single = [(r, m[0]) for r, m in enumerate(members) if len(m) == 1]
-    external = list(map(ne, const.channel_from(genes), const.channel_to(genes)))
-    power, bandwidth, energy_per_unit = const.power, const.bandwidth, const.energy_per_unit
+    external = [genes[i] != genes[j] for i, j in spec.channel_ends]
+    power = [p.power for p in spec.architecture.processors]
+    ic = spec.architecture.interconnect
+    bandwidth, energy_per_unit = ic.bandwidth, ic.energy_per_unit
+    idle = [0.0] * len(power)
     fsum = math.fsum
     costs = []
     for scen in scenarios:
@@ -437,19 +434,14 @@ class EvaluationChild:
         """The fitness, or the JobError, of each job, in order.
 
         Each run of consecutive jobs with the same subset is one ``FITNESS``
-        request carrying their gene vectors; a share that is one such run
-        is framed in one pass (:func:`_share_request`). A job whose gene
-        count is not the spec's, or that holds a value no int32 holds (no
-        spec accepts one), is evaluated in this thread instead, as
+        request carrying their gene vectors (see :meth:`_ask_run`). A job
+        whose gene count is not the spec's, or that holds a value no int32
+        holds (no spec accepts one), is evaluated in this thread instead, as
         :class:`MappingExecutor` does, with the same result or error.
         """
         results: list = [None] * len(jobs)
         spec, aggregate = self._spec, self._aggregate
         n_genes = len(spec.processes)
-        request = _share_request(jobs, n_genes)
-        if request is not None:
-            self._ask(request, jobs, range(len(jobs)), results)
-            return results
         asked: list[int] = []
         for i, (genes, subset) in enumerate(jobs):
             if len(genes) != n_genes or not n_genes:
@@ -464,18 +456,31 @@ class EvaluationChild:
         return results
 
     def _ask_run(self, jobs: Sequence[MappingJob], asked: list[int], results: list) -> None:
-        """Evaluate the asked jobs, which share one subset, in one request."""
+        """Evaluate the asked jobs, which share one subset and have the
+        spec's gene count, in one request: the bytes of ``_request(FITNESS,
+        <their gene vectors>, subset)``, each vector packed by one cached
+        ``struct.Struct``. A job holding a value no int32 holds is evaluated
+        here instead."""
+        spec, aggregate = self._spec, self._aggregate
         subset = jobs[asked[0]][1]
         try:
-            request = _request(FITNESS, [g for i in asked for g in jobs[i][0]], subset)
-        except struct.error:  # a value no int32 holds: such jobs are evaluated here
-            fit = [i for i in asked if _int32(subset) and _int32(jobs[i][0])]
-            for i in set(asked).difference(fit):
-                results[i] = _evaluate_here(self._spec, jobs[i][0], subset, self._aggregate)
-            if fit:
-                self._ask_run(jobs, fit, results)
+            tail = _int32s(len(subset)).pack(*subset)
+        except struct.error:  # a subset index no int32 holds
+            for i in asked:
+                results[i] = _evaluate_here(spec, jobs[i][0], subset, aggregate)
             return
-        self._ask(request, jobs, asked, results)
+        pack = _int32s(len(spec.processes)).pack
+        vectors, sent = [], []
+        for i in asked:
+            try:
+                vectors.append(pack(*jobs[i][0]))
+            except struct.error:  # a gene no int32 holds
+                results[i] = _evaluate_here(spec, jobs[i][0], subset, aggregate)
+            else:
+                sent.append(i)
+        if sent:
+            head = _REQUEST.pack(FITNESS, False, len(spec.processes) * len(sent), len(subset), 0)
+            self._ask(head + b"".join(vectors) + tail, jobs, sent, results)
 
     def _ask(self, request: bytes, jobs: Sequence[MappingJob], asked: Sequence[int], results: list) -> None:
         """Send one FITNESS request and store its replies in the asked slots.
@@ -572,7 +577,7 @@ class EvaluationChild:
 
     def _start(self) -> None:
         spec = self._spec
-        spec.compiled_constants, spec.compiled_scenarios  # built here, inherited by the child
+        spec.channel_ends, spec.compiled_scenarios  # built here, inherited by the child
         requests, to_child = os.pipe()
         from_child, replies = os.pipe()
         try:
@@ -617,25 +622,6 @@ def _int32s(n: int) -> struct.Struct:
     return struct.Struct(f"<{n}i")
 
 
-def _share_request(jobs: Sequence[MappingJob], n_genes: int) -> "bytes | None":
-    """The ``FITNESS`` request for a whole share, framed in one pass: the
-    bytes of ``_request(FITNESS, <all gene vectors>, subset)``. None unless
-    every job has ``n_genes`` (> 0) genes and the first job's subset, and
-    every value fits an int32."""
-    if not jobs or not n_genes:
-        return None
-    subset = jobs[0][1]
-    pack = _int32s(n_genes).pack
-    try:
-        vectors = [pack(*genes) for genes, other in jobs if other is subset or other == subset]
-        tail = _int32s(len(subset)).pack(*subset)
-    except (struct.error, TypeError):
-        return None
-    if len(vectors) < len(jobs):
-        return None
-    return _REQUEST.pack(FITNESS, False, n_genes * len(jobs), len(subset), 0) + b"".join(vectors) + tail
-
-
 def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
     """The fitness of each reply in ``data``, or None unless it holds
     exactly ``count`` plain fitness replies. A reply with the fitness header
@@ -647,10 +633,6 @@ def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
         if data[k::_MIN_REPLY].count(byte) != count:
             return None
     return [Fitness(value, energy) for _, _, value, energy in _FITNESS_REPLY.iter_unpack(data)]
-
-
-def _int32(values: Sequence[int]) -> bool:
-    return all(-(2**31) <= v < 2**31 for v in values)
 
 
 def _cost_pairs(values: Sequence[float], n_scen: int) -> list[list[tuple[float, float]]]:

@@ -13,8 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable
 
 CHANNEL_KEY_SEP = "->"
 
@@ -97,32 +96,6 @@ class CompiledScenario:
     data: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledConstants:
-    """The scenario-independent part of evaluating any mapping under one spec.
-
-    ``channel_from(genes)`` and ``channel_to(genes)`` are the processors that
-    the two endpoints of every channel are mapped to, as tuples in channel
-    order. ``power`` holds each processor's power, and ``idle`` a busy time
-    of ``0.0`` per processor (copied, never changed).
-    """
-
-    channel_from: Callable[[Sequence[int]], tuple[int, ...]]
-    channel_to: Callable[[Sequence[int]], tuple[int, ...]]
-    power: tuple[float, ...]
-    idle: list[float]
-    bandwidth: float
-    energy_per_unit: float
-
-
-def _items_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """A function giving a sequence's items at ``indices`` as a tuple; unlike
-    a bare ``itemgetter``, also for one index or none."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
-
-
 @dataclass(frozen=True)
 class Mapping:
     """Assignment of every process (in global process order) to a processor
@@ -163,22 +136,6 @@ class SystemSpec:
     def compiled_scenarios(self) -> tuple[CompiledScenario, ...]:
         """Every scenario in index form, built on first use and then shared."""
         return tuple(self.compile_scenario(s) for s in self.scenarios)
-
-    @cached_property
-    def compiled_constants(self) -> CompiledConstants:
-        """What evaluation needs of the spec besides its scenarios, built on
-        first use and then shared."""
-        ends = self.channel_ends
-        processors = self.architecture.processors
-        ic = self.architecture.interconnect
-        return CompiledConstants(
-            channel_from=_items_getter([frm for frm, _ in ends]),
-            channel_to=_items_getter([to for _, to in ends]),
-            power=tuple(p.power for p in processors),
-            idle=[0.0] * len(processors),
-            bandwidth=ic.bandwidth,
-            energy_per_unit=ic.energy_per_unit,
-        )
 
     def compile_scenario(self, scenario: Scenario) -> CompiledScenario:
         """Index form of any scenario over this spec's processes and channels;

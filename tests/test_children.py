@@ -380,9 +380,9 @@ def test_specs_with_no_channel_or_one_match_in_process_evaluation(n_channels):
     assert_no_child_process()
 
 
-def test_spec_constants_built_before_the_fork_not_at_parse(monkeypatch):
+def test_spec_compiled_before_the_fork_not_at_parse(monkeypatch):
     spec = ga_instance()  # freshly parsed
-    lazy = {"compiled_constants", "compiled_scenarios"}
+    lazy = {"channel_ends", "compiled_scenarios"}
     assert not lazy & vars(spec).keys()  # parsing compiles nothing
     built_at_fork = []
     real_fork = os.fork

@@ -397,17 +397,14 @@ def test_evaluate_mapping_rejects_bad_genes(two_proc_spec):
 
 def test_spec_compiled_once_and_lazily():
     spec = parse_config(render_config(_two_scenario_spec()))
-    lazy = {"compiled_scenarios", "compiled_constants"}
-    assert not lazy & vars(spec).keys()  # parsing does not compile
+    assert "compiled_scenarios" not in vars(spec)  # parsing does not compile
     evaluate_mapping(spec, Mapping(genes=(0,)), [0, 1])
-    assert lazy <= vars(spec).keys()  # the first evaluation does
-    first, constants = spec.compiled_scenarios, spec.compiled_constants
+    first = spec.compiled_scenarios
     scenario_metrics(spec, Mapping(genes=(0,)), spec.scenarios[1])
     evaluate_mapping(spec, Mapping(genes=(0,)), [1])
     foreign = Scenario("f", frozenset({"a"}), comp={"A": 90.0})
     assert scenario_metrics(spec, Mapping(genes=(0,)), foreign).makespan == 90.0
     assert spec.compiled_scenarios is first and len(first) == 2
-    assert spec.compiled_constants is constants
     assert [c.rows for c in first] == [((50.0,),), ((70.0,),)]
     other = parse_config(render_config(spec))
     assert other.compiled_scenarios == first and other.compiled_scenarios is not first
