@@ -5,7 +5,9 @@ triple, run on a freshly created pool after a discarded warm-up batch. The
 workload is fixed while the worker count varies; speedup is mean wall time
 at 1 worker divided by mean wall time at N workers. Job output checksums are
 compared across every record of an experiment, so a delivery bug under
-parallelism shows up as a hard failure rather than a skewed number.
+parallelism shows up as a hard failure rather than a skewed number. The
+``simulate`` workload's executor runs its own children, so its pools start
+no worker thread and both queue kinds run one path (see :mod:`sdse.workpool`).
 
 Records and summary rows are plain dataclasses and this module opens no
 files: ``sdse bench`` writes them, and the summary's ``workers`` and

@@ -18,22 +18,23 @@ speed's row, and the external data is the masked data row. Zero demands
 are stored as ``0.0``, so every ``math.fsum`` sees the same non-zero terms
 as a sum over the scenario's demands and results are exact to the bit.
 
-Wherever ``os.fork`` exists, the pool's mapping executor gives each pool
-worker one persistent forked child (:class:`EvaluationChild`) through the
-pool's ``worker_session`` hook, and takes the pool's jobs in shares: a
-worker claims ceil(n / workers) consecutive jobs of a batch and sends them
-to its child as one ``FITNESS`` request, then waits on a pipe without the
-GIL for one reply per job, so N workers evaluate on N cores and a batch
-costs each worker one round trip. The children are pinned to distinct CPUs
-where the OS allows it. Without fork, the worker threads
-evaluate in process (:class:`MappingExecutor`), one job at a time, holding
-the GIL while they do. Results travel as exact doubles, so both give
-bit-identical fitness.
+Wherever ``os.fork`` exists, the pool's mapping executor gives the pool
+one persistent forked child per worker (:class:`EvaluationChild`) through
+the pool's ``children`` hook, and the pool starts no worker thread: the
+thread that submits a batch cuts it into shares of ceil(n / workers)
+consecutive jobs, sends each share to its own child as one ``FITNESS``
+request, and itself waits on all the children's reply pipes with one
+``select.poll`` (:class:`EvaluationChildren`), so N children evaluate on N
+cores and a batch costs one round trip per child and no thread hand-off.
+The children are pinned to distinct CPUs where the OS allows it. Without
+fork, the pool's worker threads evaluate in process
+(:class:`MappingExecutor`), one job at a time, holding the GIL while they
+do. Results travel as exact doubles, so both give bit-identical fitness.
 
 A share's protocol work is done in bulk on both sides of the pipe, since
-the workers do it one after another while holding the GIL. The parent
-packs each gene vector of a request with one cached ``struct.Struct`` and
-joins them (:meth:`EvaluationChild._ask_run`), and reads a request's
+the submitting thread does it for every share while holding the GIL. The
+parent packs each gene vector of a request with one cached ``struct.Struct``
+and joins them (:meth:`EvaluationChild._frame_run`), and reads a request's
 replies with one ``os.read`` and one unpack when they are all plain fitness
 replies (:func:`_fitness_values`). The child range-checks a request's
 genes once and packs each reply in one call (:func:`_fitness_replies`). A
@@ -65,9 +66,9 @@ import signal
 import struct
 import time
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .model import CompiledScenario, Mapping, SystemSpec
 from .workpool import JobError
@@ -333,31 +334,25 @@ class MappingExecutor:
 
 
 class ChildMappingExecutor(MappingExecutor):
-    """Mapping executor whose pool workers each evaluate in their own child.
+    """Mapping executor whose pools evaluate in forked children.
 
-    Called directly, it evaluates in this process. A pool worker instead
-    holds a :meth:`worker_session` for its whole life and forwards every
-    share of jobs to the session's child process, so N workers evaluate on
-    N cores while their threads wait on pipes without the GIL.
+    Called directly, it evaluates in this process. A pool instead takes its
+    :meth:`children`, one persistent :class:`EvaluationChild` per worker,
+    and runs no worker thread: the thread that submits a batch hands each
+    child one share of it and waits for their replies
+    (:class:`EvaluationChildren`), so N children evaluate on N cores.
 
-    The sessions' children are pinned to the CPUs this process may use,
-    one after another in session order, so no two run on one CPU while
-    another is free. A share runs far longer than one job, and two
-    children woken onto one CPU would otherwise stay there for most of it.
+    The children are pinned to the CPUs this process may use, one after
+    another in worker order, so no two run on one CPU while another is
+    free. A share runs far longer than one job, and two children woken onto
+    one CPU would otherwise stay there for most of it.
     """
 
-    takes_shares = True  # the session evaluates a share of jobs per call
-
-    def __init__(self, spec: SystemSpec, aggregate: str):
-        super().__init__(spec, aggregate)
-        self._sessions = count()  # numbers the sessions, atomically
-
-    def worker_session(self) -> "EvaluationChild":
-        cpu = None
-        if hasattr(os, "sched_setaffinity"):
-            cpus = sorted(os.sched_getaffinity(0))
-            cpu = cpus[next(self._sessions) % len(cpus)]
-        return EvaluationChild(self.spec, self.aggregate, cpu)
+    def children(self, workers: int) -> "EvaluationChildren":
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+        return EvaluationChildren(
+            [EvaluationChild(self.spec, self.aggregate, cpus[w % len(cpus)]) for w in range(workers)]
+        )
 
 
 def _evaluate_here(spec: SystemSpec, genes: Sequence[int], subset: Sequence[int], aggregate: str) -> "Fitness | JobError":
@@ -372,10 +367,10 @@ def _evaluate_here(spec: SystemSpec, genes: Sequence[int], subset: Sequence[int]
 def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> MappingExecutor:
     """Executor for (genes, scenario-indices) jobs.
 
-    Each pool worker gets a persistent forked child (:class:`EvaluationChild`)
-    wherever ``os.fork`` exists; elsewhere the pool's threads evaluate in
-    process. Both give bit-identical fitness and the same ``JobError`` text
-    for a bad job.
+    A pool gets one persistent forked child per worker
+    (:class:`EvaluationChild`) wherever ``os.fork`` exists; elsewhere the
+    pool's threads evaluate in process. Both give bit-identical fitness and
+    the same ``JobError`` text for a bad job.
     """
     if aggregate not in AGGREGATES:
         raise _unknown_aggregate(aggregate)
@@ -386,7 +381,7 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
 
 class EvaluationChild:
     """A persistent forked child process that answers requests over a pair
-    of pipes, in order: one pool worker's session, and the base of the
+    of pipes, in order: one of a pool's children, and the base of the
     subset selector's helper.
 
     Lifecycle: the child is forked by the first request, after the spec has
@@ -400,16 +395,17 @@ class EvaluationChild:
     i-th reply to a request (counting from 0) must come within (i + 1) ×
     :data:`CHILD_JOB_TIMEOUT_S` of sending it.
 
-    As a pool worker's session it evaluates a share of jobs
-    (:meth:`evaluate_share`): one ``FITNESS`` request per run of jobs with
-    the same subset. A job's error reply becomes the :class:`JobError`
-    in-process evaluation gives.
+    As a pool's child it evaluates one share of each batch in steps that
+    :class:`EvaluationChildren` drives: :meth:`_queue_share` frames the
+    share's ``FITNESS`` requests, :meth:`_send_next` sends the next one and
+    :meth:`_collect` reads what has come of its replies. A job's error reply
+    becomes the :class:`JobError` in-process evaluation gives.
 
     Failures: a child found dead when a request is sent is replaced and the
     request goes to the new child. A reply that does not come in time, or a
     child that exits instead, stops the child (the next request forks a new
-    one); for a share, see :meth:`evaluate_share`. :meth:`stop` closes the
-    pipes, kills the child and reaps it; leaving the session stops it.
+    one); for a share, see :meth:`_fail`. :meth:`stop` closes the pipes,
+    kills the child and reaps it.
     """
 
     _what = "evaluation child"  # names the child in the errors a reply raises
@@ -423,23 +419,25 @@ class EvaluationChild:
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
+        # the share being evaluated: its jobs, their result slots, and the
+        # requests still to send as (request, the share indices of its jobs)
+        self._jobs: Sequence[MappingJob] = ()
+        self._results: list = []
+        self._todo: list[tuple[bytes, list[int]]] = []
+        # the request in flight: its jobs, when it was sent, how many of
+        # its replies are stored, and the bytes read of the next one
+        self._asked: list[int] = []
+        self._sent = 0.0
+        self._got = 0
+        self._data = b""
 
-    def __enter__(self) -> Callable[[Sequence[MappingJob]], "list[Fitness | JobError]"]:
-        return self.evaluate_share
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def evaluate_share(self, jobs: Sequence[MappingJob]) -> "list[Fitness | JobError]":
-        """The fitness, or the JobError, of each job, in order.
-
-        Each run of consecutive jobs with the same subset is one ``FITNESS``
-        request carrying their gene vectors (see :meth:`_ask_run`). A job
-        whose gene count is not the spec's, or that holds a value no int32
-        holds (no spec accepts one), is evaluated in this thread instead, as
-        :class:`MappingExecutor` does, with the same result or error.
-        """
-        results: list = [None] * len(jobs)
+    def _queue_share(self, jobs: Sequence[MappingJob], results: list) -> None:
+        """Make ``jobs`` the share whose results go to ``results``, in order,
+        and queue its requests: one ``FITNESS`` request per run of
+        consecutive jobs with the same subset (see :meth:`_frame_run`). A
+        job whose gene count is not the spec's is evaluated here instead, as
+        :class:`MappingExecutor` does, with the same result or error."""
+        self._jobs, self._results, self._todo = jobs, results, []
         spec, aggregate = self._spec, self._aggregate
         n_genes = len(spec.processes)
         asked: list[int] = []
@@ -448,19 +446,19 @@ class EvaluationChild:
                 results[i] = _evaluate_here(spec, genes, subset, aggregate)
                 continue
             if asked and subset is not jobs[asked[-1]][1] and subset != jobs[asked[-1]][1]:
-                self._ask_run(jobs, asked, results)
+                self._frame_run(asked)
                 asked = []
             asked.append(i)
         if asked:
-            self._ask_run(jobs, asked, results)
-        return results
+            self._frame_run(asked)
 
-    def _ask_run(self, jobs: Sequence[MappingJob], asked: list[int], results: list) -> None:
-        """Evaluate the asked jobs, which share one subset and have the
-        spec's gene count, in one request: the bytes of ``_request(FITNESS,
-        <their gene vectors>, subset)``, each vector packed by one cached
+    def _frame_run(self, asked: list[int]) -> None:
+        """Queue the request for the asked jobs, which share one subset and
+        have the spec's gene count: the bytes of ``_request(FITNESS, <their
+        gene vectors>, subset)``, each vector packed by one cached
         ``struct.Struct``. A job holding a value no int32 holds is evaluated
         here instead."""
+        jobs, results = self._jobs, self._results
         spec, aggregate = self._spec, self._aggregate
         subset = jobs[asked[0]][1]
         try:
@@ -480,53 +478,82 @@ class EvaluationChild:
                 sent.append(i)
         if sent:
             head = _REQUEST.pack(FITNESS, False, len(spec.processes) * len(sent), len(subset), 0)
-            self._ask(head + b"".join(vectors) + tail, jobs, sent, results)
+            self._todo.append((head + b"".join(vectors) + tail, sent))
 
-    def _ask(self, request: bytes, jobs: Sequence[MappingJob], asked: Sequence[int], results: list) -> None:
-        """Send one FITNESS request and store its replies in the asked slots.
+    def _send_next(self) -> bool:
+        """The send step: send the share's next queued request; False once
+        none is left. A send that fails is a failure of that request (see
+        :meth:`_fail`)."""
+        while self._todo:
+            request, self._asked = self._todo.pop(0)
+            self._got, self._data = 0, b""
+            try:
+                self._send(request)
+            except Exception as exc:
+                self._fail(exc)
+                continue
+            self._sent = time.monotonic()
+            return True
+        return False
 
-        The first read asks for as many bytes as the replies must hold at
-        least; when it returns exactly that many plain fitness replies, one
-        unpack gives them all. Otherwise (an error reply, or replies the
-        child wrote early) they are parsed one by one by :meth:`_replies`,
-        starting with the bytes already read.
+    def _deadline(self) -> float:
+        """When the next reply of the request in flight is due."""
+        return self._sent + (self._got + 1) * CHILD_JOB_TIMEOUT_S
 
-        If the child exits or misses a deadline, the replies already read
-        are kept. With one reply unread, that job gets the ``JobError`` of
-        the failure. With more, the child's own replies cannot tell which
-        job ended it (it writes a request's replies together), so each
-        unread job runs again alone: the one that fails again gets its
-        ``JobError``, and every job after it runs once, in a fresh child.
-        """
-        read = 0
+    def _collect(self) -> bool:
+        """The collect step: one read of the replies of the request in
+        flight, storing each whole reply in its job's slot; True once the
+        request needs no further read. Call it once the reply pipe is
+        readable or :meth:`_deadline` has passed; it waits no longer.
+
+        A read asks for as many bytes as the replies still due must hold at
+        least, so it never takes a byte of a reply after them. When it ends
+        with exactly that many plain fitness replies, one unpack gives them
+        all (:func:`_fitness_values`); otherwise (an error reply, or replies
+        the child wrote early) the whole ones are parsed one by one."""
+        asked, got = self._asked, self._got
+        due = len(asked) - got
         try:
-            self._send(request)
-            sent = time.monotonic()
-            data = self._read(len(asked) * _MIN_REPLY, sent + CHILD_JOB_TIMEOUT_S)
-            values = _fitness_values(data, len(asked))
-            if values is not None:
-                for i, fitness in zip(asked, values):
-                    results[i] = fitness
-                return
-            for status, payload in self._replies(len(asked), sent, data):
-                results[asked[read]] = JobError(payload.decode()) if status else Fitness(*_FITNESS.unpack(payload))
-                read += 1
+            data = self._data + self._read(_bytes_due(self._data, due), self._deadline())
+            values = _fitness_values(data, due)
+            if values is None:
+                replies, data = _whole_replies(data, due)
+                values = [JobError(p.decode()) if status else Fitness(*_FITNESS.unpack(p)) for status, p in replies]
         except Exception as exc:
-            self.stop()  # a child that hung or died cannot take the next job
-            unread = asked[read:]
-            if len(unread) == 1:
-                results[unread[0]] = JobError.of(exc)
-            else:
-                for i in unread:
-                    genes, subset = jobs[i]
-                    self._ask(_request(FITNESS, genes, subset), jobs, [i], results)
-        except BaseException:
-            self.stop()
-            raise
+            self._fail(exc)
+            return True
+        results = self._results
+        for i, value in zip(asked[got:], values):
+            results[i] = value
+        self._got += len(values)
+        self._data = data
+        return self._got == len(asked)
+
+    def _fail(self, exc: Exception) -> None:
+        """The request in flight failed with ``exc``: the child exited,
+        missed a deadline or could not be sent to. Stop the child and keep
+        the replies already stored. With one reply unread, that job gets the
+        ``JobError`` of the failure. With more, the child's own replies
+        cannot tell which job ended it (it writes a request's replies
+        together), so each unread job is queued to run again alone, before
+        the rest of the share: the one that fails again gets its
+        ``JobError``, and every job after it runs once, in a fresh child."""
+        self.stop()  # a child that hung or died cannot take the next job
+        unread = self._asked[self._got :]
+        if len(unread) == 1:
+            self._results[unread[0]] = JobError.of(exc)
+        else:
+            self._todo[:0] = [(_request(FITNESS, *self._jobs[i]), [i]) for i in unread]
 
     def _receive_values(self) -> "tuple[float, ...] | JobError":
-        """The doubles of a COSTS or TAUS reply, or the error it carries."""
-        ((status, payload),) = self._replies(1, time.monotonic())
+        """The doubles of a COSTS or TAUS reply, or the error it carries;
+        the reply is due within :data:`CHILD_JOB_TIMEOUT_S` of this call."""
+        deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
+        data, replies = b"", []
+        while not replies:
+            data += self._read(_bytes_due(data, 1), deadline)
+            replies, data = _whole_replies(data, 1)
+        ((status, payload),) = replies
         if status:
             return JobError(payload.decode())
         return struct.unpack(f"<{len(payload) // 8}d", payload)
@@ -541,28 +568,6 @@ class EvaluationChild:
             self.stop()
             self._start()
             _write_all(self._to_child, request)
-
-    def _replies(self, count: int, sent: float, data: bytes = b"") -> Iterator[tuple[int, bytes]]:
-        """The child's next ``count`` replies as (status, payload), in order,
-        the first of them starting at ``data`` (bytes already read); reply i
-        is due (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after ``sent``.
-
-        Each read asks for as many bytes as the replies still due must hold
-        (every reply is at least ``_MIN_REPLY`` long), so a share's replies
-        written together take one ``os.read``, and the bytes of a reply
-        queued behind the last one stay in the pipe."""
-        for i in range(count):
-            deadline = sent + (i + 1) * CHILD_JOB_TIMEOUT_S
-            while True:
-                end = _MIN_REPLY
-                if len(data) >= _REPLY.size:
-                    status, size = _REPLY.unpack_from(data)
-                    end = _REPLY.size + max(size, _FITNESS.size)
-                    if len(data) >= end:
-                        break
-                data += self._read(max(end, (count - i) * _MIN_REPLY) - len(data), deadline)
-            yield status, data[_REPLY.size : _REPLY.size + size]
-            data = data[end:]
 
     def _read(self, n: int, deadline: float) -> bytes:
         """Between 1 and n bytes from the reply pipe."""
@@ -610,6 +615,68 @@ class EvaluationChild:
             os.waitpid(pid, 0)
 
 
+class EvaluationChildren:
+    """A pool's evaluation children, driven by the thread that submits its
+    batches: no worker thread and no barrier stands between them.
+
+    :meth:`run` gives child w share w of a batch. It frames every share's
+    first request, then writes them all before it reads a reply, the last
+    child's first. The order matters: a child woken on the CPU the
+    submitting thread runs on takes that CPU until its share is done, so
+    any request written after it waits as long. The subset selector's
+    pass leaves the submitting thread off the last CPU (its helper's), so
+    the child there must not be the one that waits. Then one
+    ``select.poll`` over the children's reply pipes waits for the first
+    reply or the next deadline, whichever comes first; each child's
+    replies are stored as they come (:meth:`EvaluationChild._collect`), and
+    a child whose request is answered is sent its share's next one, if any
+    (another subset, or a job to run again alone after a failure).
+    """
+
+    def __init__(self, children: Sequence[EvaluationChild]):
+        self._children = children
+
+    def run(self, shares: Sequence[Sequence[MappingJob]]) -> "list[tuple[list[Fitness | JobError], int]]":
+        """Each share's results (the fitness, or the JobError, of each job,
+        in order) and its busy time: nanoseconds from the start of the run
+        to storing the share's last reply."""
+        done: list = [None] * len(shares)
+        waiting: dict[int, int] = {}  # reply pipe -> share index
+        poll = select.poll()
+
+        def advance(w: int, child: EvaluationChild) -> None:
+            """Send child w its next request, or record its share as done."""
+            if child._send_next():
+                waiting[child._from_child] = w
+                poll.register(child._from_child, select.POLLIN)
+            else:
+                done[w] = (child._results, time.perf_counter_ns() - started)
+
+        started = time.perf_counter_ns()
+        for child, share in zip(self._children, shares):
+            try:
+                child._queue_share(share, [None] * len(share))
+            except Exception as exc:  # a job that is no (genes, subset) pair fails its share
+                child._results, child._todo = [JobError.of(exc)] * len(share), []
+        for w in reversed(range(len(shares))):
+            advance(w, self._children[w])
+        while waiting:
+            timeout = min(self._children[w]._deadline() for w in waiting.values()) - time.monotonic()
+            ready = {fd for fd, _ in poll.poll(max(0.0, timeout) * 1e3)}
+            for fd, w in list(waiting.items()):
+                child = self._children[w]
+                if (fd in ready or child._deadline() <= time.monotonic()) and child._collect():
+                    poll.unregister(fd)
+                    del waiting[fd]
+                    advance(w, child)
+        return done
+
+    def stop(self) -> None:
+        """Stop every child. Idempotent."""
+        for child in self._children:
+            child.stop()
+
+
 def _request(kind: int, a: Sequence[int], b: Sequence[int], doubles: Sequence[float] = (), follows: bool = False) -> bytes:
     """One request; ``follows`` tells the child that another comes soon."""
     n, m = len(a) + len(b), len(doubles)
@@ -633,6 +700,32 @@ def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
         if data[k::_MIN_REPLY].count(byte) != count:
             return None
     return [Fitness(value, energy) for _, _, value, energy in _FITNESS_REPLY.iter_unpack(data)]
+
+
+def _bytes_due(data: bytes, count: int) -> int:
+    """How many bytes to read for the next ``count`` replies, ``data``
+    holding the start of the first (less than the whole of it): as many as
+    they must hold at least (every reply is at least ``_MIN_REPLY`` long),
+    or the rest of the first reply if its header says it is longer."""
+    end = _MIN_REPLY
+    if len(data) >= _REPLY.size:
+        _, size = _REPLY.unpack_from(data)
+        end = _REPLY.size + max(size, _FITNESS.size)
+    return max(end, count * _MIN_REPLY) - len(data)
+
+
+def _whole_replies(data: bytes, count: int) -> "tuple[list[tuple[int, bytes]], bytes]":
+    """The whole replies at the start of ``data``, at most ``count``, as
+    (status, payload), and the bytes after them."""
+    replies = []
+    while len(replies) < count and len(data) >= _REPLY.size:
+        status, size = _REPLY.unpack_from(data)
+        end = _REPLY.size + max(size, _FITNESS.size)
+        if len(data) < end:
+            break
+        replies.append((status, data[_REPLY.size : _REPLY.size + size]))
+        data = data[end:]
+    return replies, data
 
 
 def _cost_pairs(values: Sequence[float], n_scen: int) -> list[list[tuple[float, float]]]:

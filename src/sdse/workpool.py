@@ -3,14 +3,14 @@
 :class:`PoolCore` owns the lifecycle that every queue kind shares: it starts
 the worker threads once (aborting cleanly if a start fails), guards
 ``submit_batch`` and ``shutdown`` against concurrent callers, runs each
-claimed share (executor call, :class:`JobError` capture, busy time, result
-slots, diagnostics), keeps the batch logs, and applies one rule when the
-pool breaks. A queue kind supplies only its fetch and wait strategy:
+claimed job (executor call, :class:`JobError` capture, busy time, result
+slot, diagnostics), keeps the batch logs, and applies one rule when the pool
+breaks. A queue kind supplies only its fetch and wait strategy:
 
 * :class:`WorkPool` (``lockless``) — the job queue is a pre-filled vector
-  (:class:`JobBatch`); workers claim shares with an atomic
-  fetch-and-increment and stop once the claimed share index passes the end
-  of the queue. Two rendezvous barriers (start, end) delimit each batch: the
+  (:class:`JobBatch`); workers claim indices with an atomic
+  fetch-and-increment and stop once the claimed index passes the end of the
+  queue. Two rendezvous barriers (start, end) delimit each batch: the
   submitter publishes the batch while the workers block on the start
   barrier, and everyone meets again on the end barrier once the queue is
   drained.
@@ -20,29 +20,25 @@ pool breaks. A queue kind supplies only its fetch and wait strategy:
   wait for work, and a second one on which the submitter waits until every
   result slot is filled.
 
-A worker claims a **share**: a run of consecutive jobs. A share is one job
-unless the executor's ``takes_shares`` is true; then a batch of n jobs is
-cut into shares of ceil(n / workers) jobs, and a worker hands each share to
-its session in one call (below), which returns one result per job. The
-share size is set per batch, so the claim path is the same for both.
-
 Either pool processes any number of batches without recreating its threads.
-An executor may keep state per worker thread by defining ``worker_session()``,
-a context manager that each worker enters once, after the pool has started,
-and leaves when its thread ends (shutdown, a broken pool or its own death).
-The worker calls the callable the session yields for every job (for a share
-executor: every share) instead of the executor itself. The mapping executor
-uses this hook to give each worker its own evaluation child process, which
-takes a whole share as one request (see :mod:`sdse.evaluator`).
+
+An executor that runs its own processes defines ``children(workers)``,
+which returns the object that runs them (for the mapping executor, one
+evaluation child per worker; see :mod:`sdse.evaluator`). The pool then
+starts no worker thread, whatever its queue kind: ``submit_batch`` cuts a
+batch of n jobs into **shares** of ceil(n / workers) consecutive jobs, hands
+all of them to the children's ``run(shares)`` in the submitting thread, and
+gets back each share's results and busy time. ``shutdown`` calls their
+``stop()``.
 
 A pool breaks the same way in both kinds, whether an exception interrupts
 the submitter's wait for a batch (say, a ``KeyboardInterrupt``) or a worker
 dies of an exception that is not an ``Exception`` (``SystemExit``,
 ``KeyboardInterrupt``): the batch hands out no further jobs, the parked
-workers are released and exit, the next ``submit_batch`` raises
-:class:`BrokenPoolError` (the interrupted submit re-raises its interrupt
-instead) and closes the pool, and ``shutdown`` returns once the jobs already
-running have finished and every worker has left its session.
+workers are released and exit (an executor's children are stopped), the
+next ``submit_batch`` raises :class:`BrokenPoolError` (the interrupted
+submit re-raises its interrupt instead) and closes the pool, and
+``shutdown`` returns once the jobs already running have finished.
 
 Atomicity and ordering notes (CPython): the lockless fetch-and-increment is
 ``itertools.count().__next__`` — a single C-level call that runs to
@@ -55,14 +51,13 @@ needs: job descriptions and the queue bounds written before the start
 rendezvous are visible to every worker after it, and result-slot writes
 before the end rendezvous are visible to the submitter after it. The locked
 kind gets the same edges from its mutex. Result slots are disjoint per job
-index, and shares are disjoint runs of them, so slot writes need no further
-synchronization. A claimed cursor may overshoot the last share by up to one
-per worker; correctness relies only on the bounds comparison.
+index, so slot writes need no further synchronization. A claimed cursor may
+overshoot the end of the queue by up to one per worker; correctness relies
+only on the bounds comparison.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -122,30 +117,27 @@ def execution_counts(log: BatchLog, n_jobs: int) -> list[int]:
 class JobBatch:
     """A pre-filled job vector with disjoint result slots and an atomic cursor.
 
-    The jobs are cut into shares of ``share`` consecutive jobs (the last may
-    be shorter). ``fetch`` hands out each share index exactly once; once the
-    cursor passes the last share it returns None forever (the overshooting
-    cursor is harmless). With ``share=1`` a share index is a job index.
+    ``fetch`` hands out each index exactly once; once the cursor passes the
+    last job it returns None forever (the overshooting cursor is harmless).
     """
 
-    __slots__ = ("jobs", "results", "share", "end", "_cur")
+    __slots__ = ("jobs", "results", "end", "_cur")
 
-    def __init__(self, jobs: Sequence[Any], share: int = 1):
+    def __init__(self, jobs: Sequence[Any]):
         self.jobs = tuple(jobs)
-        self.share = share
-        self.end = -(-len(self.jobs) // share) - 1  # the last share index
+        self.end = len(self.jobs) - 1
         self.results: list[Any] = [None] * len(self.jobs)
         self._cur = itertools.count()
 
     def fetch(self) -> int | None:
-        """Claim the next unprocessed share index, or None when exhausted."""
+        """Claim the next unprocessed job index, or None when exhausted."""
         idx = next(self._cur)  # atomic fetch-and-increment (see module notes)
         if idx <= self.end:
             return idx
         return None
 
     def cancel(self) -> None:
-        """Hand out no further shares; shares already fetched still run."""
+        """Hand out no further jobs; jobs already fetched still run."""
         self.end = -1
 
 
@@ -159,11 +151,11 @@ class PoolCore:
     for benchmarking.
 
     A queue kind implements ``_prepare`` (its synchronization state),
-    ``_await_batch``, ``_claim`` (of a share index) and ``_end_share`` (the
-    worker's side), ``_run_batch`` (the submitter's side: publish a batch,
-    wait for it) and ``_release`` (wake every parked worker so that it
-    exits). The executor's optional ``worker_session()`` is entered and left
-    by ``_worker``.
+    ``_await_batch``, ``_claim`` and ``_end_share`` (the worker's side),
+    ``_run_batch`` (the submitter's side: publish a batch, wait for it) and
+    ``_release`` (wake every parked worker so that it exits). An executor's
+    ``children(workers)`` replaces the workers and ``_run_batch`` (see the
+    module notes).
     """
 
     queue_kind: str
@@ -179,7 +171,6 @@ class PoolCore:
             raise ValueError("workers must be >= 1")
         self._workers = workers
         self._executor = executor
-        self._takes_shares = getattr(executor, "takes_shares", False)
         self._diagnostics = diagnostics
         self._guard = threading.Lock()  # serializes submit/shutdown callers
         self._closed = False
@@ -195,8 +186,12 @@ class PoolCore:
         self.batch_logs: list[BatchLog] = []
         self.last_busy_ns = 0
         self._prepare()
-        self._init_barrier = threading.Barrier(workers + 1)
         self._threads: list[threading.Thread] = []
+        children = getattr(executor, "children", None)
+        self._children = children(workers) if children else None
+        if self._children is not None:
+            return
+        self._init_barrier = threading.Barrier(workers + 1)
         try:
             for i in range(workers):
                 t = threading.Thread(
@@ -228,49 +223,59 @@ class PoolCore:
             self._init_barrier.wait()
         except threading.BrokenBarrierError:
             return
-        session = getattr(self._executor, "worker_session", None)
-        claim, diagnostics, takes_shares = self._claim, self._diagnostics, self._takes_shares
+        claim, diagnostics, executor = self._claim, self._diagnostics, self._executor
         try:
-            with session() if session else contextlib.nullcontext(self._executor) as executor:
-                while (batch := self._await_batch()) is not None:
-                    jobs, results, share = batch.jobs, batch.results, batch.share
-                    log: list[int] = []
-                    busy = ran = 0
-                    while (idx := claim(batch)) is not None:
-                        first = idx * share
-                        last = min(first + share, len(jobs))
-                        if diagnostics:
-                            if self._phase != "running":
-                                self.phase_violations += [(self._batch_seq, widx, i) for i in range(first, last)]
-                            log.extend(range(first, last))
-                        t0 = time.perf_counter_ns()
-                        try:
-                            if takes_shares:
-                                results[first:last] = executor(jobs[first:last])
-                            else:
-                                results[idx] = executor(jobs[idx])
-                        except Exception as exc:  # a failed job must not stall the batch
-                            results[first:last] = [JobError.of(exc)] * (last - first)
-                        busy += time.perf_counter_ns() - t0
-                        ran += last - first
-                    self._busy_ns[widx] = busy
+            while (batch := self._await_batch()) is not None:
+                jobs, results = batch.jobs, batch.results
+                log: list[int] = []
+                busy = ran = 0
+                while (idx := claim(batch)) is not None:
                     if diagnostics:
-                        self._worker_logs[widx] = log
-                        self._cycle_idents[widx] = threading.get_ident()
-                    self._end_share(batch, ran)
+                        if self._phase != "running":
+                            self.phase_violations.append((self._batch_seq, widx, idx))
+                        log.append(idx)
+                    t0 = time.perf_counter_ns()
+                    try:
+                        result = executor(jobs[idx])
+                    except Exception as exc:  # a failed job must not stall the batch
+                        result = JobError.of(exc)
+                    busy += time.perf_counter_ns() - t0
+                    results[idx] = result
+                    ran += 1
+                self._busy_ns[widx] = busy
+                if diagnostics:
+                    self._worker_logs[widx] = log
+                    self._cycle_idents[widx] = threading.get_ident()
+                self._end_share(batch, ran)
         except threading.BrokenBarrierError:
             return  # the pool shut down or broke while this worker was parked
         except BaseException:
             self._break("a fatal worker failure")
             raise
 
+    def _run_shares(self, batch: JobBatch) -> None:
+        """Run a batch on the executor's children, in this thread: share w,
+        ceil(n / workers) consecutive jobs, is the w-th of ``run``'s shares."""
+        jobs = batch.jobs
+        size = -(-len(jobs) // self._workers) or 1
+        firsts = range(0, len(jobs), size)
+        done = self._children.run([jobs[first : first + size] for first in firsts])
+        for w, (first, (results, busy)) in enumerate(zip(firsts, done)):
+            batch.results[first : first + len(results)] = results
+            self._busy_ns[w] = busy
+            if self._diagnostics:
+                self._worker_logs[w] = list(range(first, first + len(results)))
+                self._cycle_idents[w] = threading.get_ident()
+
     def _break(self, reason: str) -> None:
         """Mark the pool broken: hand out no further jobs of the current
         batch and release the workers, so nobody waits for a party that has
-        gone."""
+        gone; an executor's children are stopped."""
         self._broken = reason
         self._batch.cancel()
         self._release()
+        if self._children is not None:
+            self._children.stop()
 
     def _raise_if_broken(self) -> None:
         if self._broken:
@@ -288,9 +293,7 @@ class PoolCore:
             if self._closed:
                 raise PoolClosedError("pool closed")
             self._raise_if_broken()
-            jobs = tuple(jobs)
-            share = -(-len(jobs) // self._workers) if self._takes_shares and jobs else 1
-            batch = JobBatch(jobs, share)
+            batch = JobBatch(jobs)
             self._batch_seq += 1
             self._busy_ns = [0] * self._workers
             if self._diagnostics:
@@ -298,7 +301,10 @@ class PoolCore:
                 self._cycle_idents = [0] * self._workers
             self._phase = "running"
             try:
-                self._run_batch(batch)
+                if self._children is None:
+                    self._run_batch(batch)
+                else:
+                    self._run_shares(batch)
             except BaseException:
                 # interrupted (e.g. KeyboardInterrupt): nobody collects this
                 # batch, so the workers must not finish it into the next one
@@ -328,6 +334,8 @@ class PoolCore:
             self._release()
             for t in self._threads:
                 t.join()
+            if self._children is not None:
+                self._children.stop()
         finally:
             self._guard.release()
 
@@ -373,9 +381,9 @@ class WorkPool(PoolCore):
 class LockedWorkPool(PoolCore):
     """Mutex/condition-variable reference kind with the same contract.
 
-    Claiming a share takes one exclusive lock around the cursor; idle workers
-    block on a condition variable until work arrives, and the submitter
-    blocks on a second one until every result slot is filled.
+    Fetching takes one exclusive lock around the cursor; idle workers block
+    on a condition variable until work arrives, and the submitter blocks on a
+    second one until every result slot is filled.
     """
 
     queue_kind = "locked"
@@ -384,7 +392,7 @@ class LockedWorkPool(PoolCore):
         self._mutex = threading.Lock()
         self._work_cond = threading.Condition(self._mutex)
         self._done_cond = threading.Condition(self._mutex)
-        self._cur = 0  # next share index of self._batch to hand out
+        self._cur = 0  # next index of self._batch to hand out
         self._done = 0  # jobs of self._batch finished
         self._released = False
 
@@ -398,7 +406,7 @@ class LockedWorkPool(PoolCore):
         with self._mutex:
             idx = self._cur
             # a worker woken for a batch that has since completed must not
-            # take a share of the next one
+            # take an index of the next one
             if batch is not self._batch or idx > batch.end:
                 return None
             self._cur = idx + 1

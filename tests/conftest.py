@@ -223,6 +223,18 @@ def assert_no_child_process() -> None:
     pytest.fail("a child process is still running")
 
 
+@pytest.fixture(autouse=True)
+def no_pool_thread_left():
+    """Fail a test that leaves a pool worker thread (named ``sdse-...``)
+    running: every pool a test starts must be shut down or broken, and its
+    workers gone, by the end of the test."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.name.startswith("sdse-")]
+    if left:
+        pytest.fail(f"pool worker threads left running: {left}")
+
+
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
 

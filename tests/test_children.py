@@ -1,14 +1,14 @@
 """Persistent evaluation children (the mapping executor wherever fork exists).
 
-Each pool worker forwards its share of a batch to its own forked child as one
-request. These tests check that the children give exactly what in-process
+A pool over them runs no worker thread: the submitting thread sends each
+child one share of a batch as one request and collects every child's
+replies. These tests check that the children give exactly what in-process
 evaluation (``MappingExecutor``) gives, and that every way a child can fail
 ends promptly with one failed job and a reaped child. A test patches
 ``_genes_costs``, the kernel every evaluation runs, before the first job;
 the fork inherits the patch, so the child runs it.
 """
 
-import contextlib
 import json
 import os
 import random
@@ -137,70 +137,69 @@ def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch)
     session._from_child = from_child
     session._poll = select.poll()
     session._poll.register(from_child, select.POLLIN)
+    session._jobs, session._results = jobs, [None] * len(jobs)
     try:
-        got = []
-        for count in (1, 2, 1):
-            got += [payload for _, payload in session._replies(count, time.monotonic())]
+        for asked in ([0], [1, 2], [3]):  # three requests in flight, one after another
+            session._asked, session._got, session._data, session._sent = asked, 0, b"", time.monotonic()
+            while not session._collect():
+                pass
         assert real_read(from_child, 1) == b""  # nothing left behind
     finally:
         os.close(from_child)
     fitness = [evaluate_mapping(two_proc_spec, Mapping(genes=g), (0,)) for g in ((0, 1), (1, 0))]
-    assert got == [
-        evaluator._FITNESS.pack(fitness[0].value, fitness[0].energy),
-        b"KeyError: 1",
-        b"ValueError: mapping has 1 genes, expected 2",
-        evaluator._FITNESS.pack(fitness[1].value, fitness[1].energy),
+    assert session._results == [
+        fitness[0],
+        JobError("KeyError: 1"),
+        JobError("ValueError: mapping has 1 genes, expected 2"),
+        fitness[1],
     ]
     one = evaluator._MIN_REPLY
-    long_error = evaluator._REPLY.size + len(got[2])
-    # one read per call for replies no longer than a fitness reply; the long
-    # error text takes one more read, for exactly its remaining bytes
+    long_error = evaluator._REPLY.size + len("ValueError: mapping has 1 genes, expected 2")
+    # one read per request for replies no longer than a fitness reply; the
+    # long error text takes one more read, for exactly its remaining bytes
     assert reads == [one, 2 * one, long_error + one - 2 * one, one]
 
 
-def _reply_fitness_to_every_read(monkeypatch, value, energy):
-    """Make every read of a session's reply pipe return as many fitness
-    replies of ``(value, energy)`` as it asks bytes for."""
-    reply = evaluator._REPLY.pack(0, evaluator._FITNESS.size) + evaluator._FITNESS.pack(value, energy)
-    monkeypatch.setattr(evaluator.EvaluationChild, "_read", lambda self, n, deadline: reply * (n // len(reply)))
+def _record_requests(monkeypatch):
+    """Record every request a child is sent, in order, and send it."""
+    sent = []
+    real_send = evaluator.EvaluationChild._send
+    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request) or real_send(self, request))
+    return sent
+
+
+def _one_child(spec, jobs, aggregate="average"):
+    """The results of one batch, which is one share, on a one-child pool."""
+    with _children(1, spec, aggregate) as pool:
+        return pool.submit_batch(jobs)
 
 
 def test_a_pool_job_is_a_fitness_request(two_proc_spec, monkeypatch):
     # a one-job share is the one request form every child reads
-    sent = []
-    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
-    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    sent = _record_requests(monkeypatch)
     for genes, subset in [((0, 1), (0,)), ((1, 0), ()), ((1, 1), (2, 0))]:
-        assert session.evaluate_share([(genes, subset)]) == [Fitness(value=1.0, energy=2.0)]
+        assert _one_child(two_proc_spec, [(genes, subset)]) == _in_process(two_proc_spec, [(genes, subset)])
         assert sent.pop() == evaluator._request(evaluator.FITNESS, genes, subset)
 
 
 def test_a_share_is_one_fitness_request_per_subset_run(two_proc_spec, monkeypatch):
-    sent = []
-    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
-    session = evaluator.EvaluationChild(two_proc_spec, "average")
+    sent = _record_requests(monkeypatch)
     share = [((0, 1), (0,)), ((1, 1), (0,)), ((1, 0), (0,)), ((0, 0), (0,))]
-    assert session.evaluate_share(share) == [Fitness(value=1.0, energy=2.0)] * 4
+    assert _one_child(two_proc_spec, share) == _in_process(two_proc_spec, share)
     assert sent == [evaluator._request(evaluator.FITNESS, (0, 1, 1, 1, 1, 0, 0, 0), (0,))]
     sent.clear()
     # a job with another subset starts another request; jobs no request can
     # carry are evaluated in this thread and join neither
     share = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0, 0)), ((0, 2**40), (0, 0)), ((0, 0), (0, 0))]
-    got = session.evaluate_share(share)
+    got = _one_child(two_proc_spec, share)
     assert sent == [
         evaluator._request(evaluator.FITNESS, (0, 1, 1, 1), (0,)),
         evaluator._request(evaluator.FITNESS, (1, 0, 0, 0), (0, 0)),
     ]
-    assert got == [
-        Fitness(value=1.0, energy=2.0),
-        Fitness(value=1.0, energy=2.0),
-        JobError("ValueError: mapping has 1 genes, expected 2"),
-        Fitness(value=1.0, energy=2.0),
-        JobError("ValueError: gene 1 = 1099511627776 out of range (processors: 2)"),
-        Fitness(value=1.0, energy=2.0),
-    ]
+    assert got == _in_process(two_proc_spec, share)
+    assert got[2] == JobError("ValueError: mapping has 1 genes, expected 2")
+    assert got[4] == JobError("ValueError: gene 1 = 1099511627776 out of range (processors: 2)")
+    assert_no_child_process()
 
 
 def _chain_spec(n_procs, n_channels, seed=0):
@@ -243,11 +242,8 @@ def test_a_share_of_one_subset_is_the_fitness_request_of_its_vectors(monkeypatch
     rng = random.Random(n_genes * 100 + n_jobs)
     subset = (3, 0, 2)
     share = [(tuple(rng.randrange(3) for _ in range(n_genes)), tuple(list(subset))) for _ in range(n_jobs)]
-    sent = []
-    monkeypatch.setattr(evaluator.EvaluationChild, "_send", lambda self, request: sent.append(request))
-    _reply_fitness_to_every_read(monkeypatch, 1.0, 2.0)
-    session = evaluator.EvaluationChild(spec, "average")
-    assert session.evaluate_share(share) == [Fitness(value=1.0, energy=2.0)] * n_jobs
+    sent = _record_requests(monkeypatch)
+    assert [_hex(r) for r in _one_child(spec, share)] == [_hex(r) for r in _in_process(spec, share)]
     assert sent == [evaluator._request(evaluator.FITNESS, [g for genes, _ in share for g in genes], subset)]
 
 
@@ -326,15 +322,11 @@ def test_a_valid_share_costs_no_per_job_check_fitness_or_reply_parse(monkeypatch
     assert len(replies) == 16 * evaluator._MIN_REPLY
     monkeypatch.undo()
 
-    def no_replies(self, count, sent, data=b""):
+    def no_replies(data, count):
         raise AssertionError("a reply was parsed on its own")
 
-    monkeypatch.setattr(evaluator.EvaluationChild, "_replies", no_replies)
-    session = evaluator.EvaluationChild(spec, "average")
-    try:
-        assert [_hex(r) for r in session.evaluate_share(share)] == [_hex(r) for r in expected]
-    finally:
-        session.stop()
+    monkeypatch.setattr(evaluator, "_whole_replies", no_replies)
+    assert [_hex(r) for r in _one_child(spec, share)] == [_hex(r) for r in expected]
     assert_no_child_process()
 
 
@@ -437,7 +429,8 @@ def test_one_child_answers_fitness_and_cost_requests_in_order():
         assert costs == [evaluator._mapping_costs(spec, m, compiled) for m in mappings]
         # a pool child has no search to scan: it replies with an error and keeps serving
         assert isinstance(session._receive_values(), JobError)
-        assert session.evaluate_share([(mappings[0].genes, subset)]) == [evaluate_mapping(spec, mappings[0], subset, "worst")]
+        ((results, _),) = evaluator.EvaluationChildren([session]).run([[(mappings[0].genes, subset)]])
+        assert results == [evaluate_mapping(spec, mappings[0], subset, "worst")]
     finally:
         session.stop()
     assert_no_child_process()
@@ -500,7 +493,29 @@ def test_children_fork_on_the_first_job_not_at_pool_start(two_proc_spec, monkeyp
         for _ in range(3):
             pool.submit_batch([((0, 1), (0,))] * 8)
         assert 1 <= len(forks) <= 2  # at most one child per worker, kept across batches
-        assert set(forks) <= set(pool.worker_idents())
+        assert set(forks) == {threading.get_ident()}  # forked by the submitting thread
+
+
+def test_a_child_pool_runs_no_thread_and_its_children_at_once(two_proc_spec, monkeypatch):
+    # two 0.2 s jobs, one per child, take one 0.2 s and not two, and no
+    # thread of the pool waits on the children
+    _patch_children(monkeypatch, slow_s=0.2)
+    threads = threading.active_count()
+    pool = _children(2, two_proc_spec)
+    what = "a batch of two 0.2 s jobs on two children"
+    try:
+        at_start = threading.active_count()
+        call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,))] * 2), what)  # forks both children
+        t0 = time.monotonic()
+        results = call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))] * 2), what)
+        elapsed = time.monotonic() - t0
+        after = threading.active_count()
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert at_start == after == threads
+    assert len({_pid(r) for r in results}) == 2
+    assert elapsed < 0.3
+    assert_no_child_process()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -689,6 +704,47 @@ def test_a_share_whose_middle_job_hangs_is_killed_after_the_timeout(two_proc_spe
     assert_no_child_process()
 
 
+def test_a_child_dying_mid_share_leaves_its_siblings_share_alone(two_proc_spec, monkeypatch, tmp_path):
+    # the submitting thread waits on both children at once: the one whose
+    # share kills it is replaced and its unread jobs run again alone, while
+    # the other child answers its own share once
+    log = tmp_path / "calls.log"
+    _patch_children(monkeypatch, log)
+    pool = _children(2, two_proc_spec)
+    what = "a batch whose first share kills its child"
+    try:
+        first = [_pid(r) for r in call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,))] * 2), what)]
+        jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,)), ((0, 0), (0,)), ((0, 1), (0,))]
+        results = call_with_deadline(lambda: pool.submit_batch(jobs + [((0, 0), (0,))] * 5), what)
+        assert results[1] == JobError("ChildProcessError: evaluation child exited during the job")
+        replaced = {_pid(r) for r in results[2:5]}
+        assert replaced.isdisjoint(first)  # the jobs after the culprit ran in a fresh child
+        assert {_pid(r) for r in results[5:]} == {first[1]}  # the sibling kept its child
+        _assert_reaped(first[0])
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert _log_lines(log).count("(0, 0)") == 7  # the sibling's five once, the two after the culprit once each
+    assert_no_child_process()
+
+
+def test_a_hung_child_times_out_while_its_sibling_answers(two_proc_spec, monkeypatch):
+    _patch_children(monkeypatch)
+    monkeypatch.setattr(evaluator, "CHILD_JOB_TIMEOUT_S", 0.3)
+    pool = _children(2, two_proc_spec)
+    what = "a batch whose second share hangs its child"
+    try:
+        t0 = time.monotonic()
+        results = call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,)), ((1, 0), (0,))]), what)
+        assert time.monotonic() - t0 < 3
+        assert results[1] == JobError("TimeoutError: evaluation child gave no result within 0.3 s")
+        sibling = _pid(results[0])
+        (again,) = call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,))]), what)
+        assert _pid(again) == sibling
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert_no_child_process()
+
+
 def test_a_long_healthy_share_meets_every_deadline(two_proc_spec, monkeypatch, tmp_path):
     # five 0.1 s jobs take longer than one 0.3 s timeout, but each reply is
     # due (i + 1) timeouts after the send, and the child writes the replies
@@ -724,8 +780,9 @@ def test_children_reaped_after_shutdown(two_proc_spec, monkeypatch, queue_kind):
 
 
 class _FatalOnGenes:
-    """A child-backed executor whose worker thread dies of SystemExit on
-    genes (1, 2), as if an interrupt escaped the session."""
+    """A child-backed executor whose batch with genes (1, 2) ends in
+    SystemExit once its children have answered, as if an interrupt escaped
+    the submitting thread while they held their shares."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -733,17 +790,18 @@ class _FatalOnGenes:
     def __call__(self, job):
         return self.inner(job)
 
-    @contextlib.contextmanager
-    def worker_session(self):
-        with self.inner.worker_session() as evaluate:
+    def children(self, workers):
+        self.held = self.inner.children(workers)
+        return self
 
-            def call(job):
-                if job[0] == (1, 2):
-                    raise SystemExit
-                (result,) = evaluate([job])
-                return result
+    def run(self, shares):
+        done = self.held.run(shares)
+        if any(genes == (1, 2) for share in shares for genes, _ in share):
+            raise SystemExit
+        return done
 
-            yield call
+    def stop(self):
+        self.held.stop()
 
 
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
@@ -751,17 +809,14 @@ def test_children_reaped_after_a_broken_pool(two_proc_spec, monkeypatch, queue_k
     _patch_children(monkeypatch)
     executor = _FatalOnGenes(make_mapping_executor(two_proc_spec))
     pool = make_pool(queue_kind, 2, executor)
-    what = "a pool broken while its workers hold children"
-    old_hook = threading.excepthook
-    threading.excepthook = lambda args: None
-    try:
-        results = call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))] * 8), what)
-        pids = {_pid(r) for r in results}
-        with pytest.raises(BrokenPoolError):
-            call_with_deadline(lambda: pool.submit_batch([((1, 2), (0,))] * 4), what)
-        call_with_deadline(pool.shutdown, what)
-    finally:
-        threading.excepthook = old_hook
+    what = "a pool broken while its children are held"
+    results = call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))] * 8), what)
+    pids = {_pid(r) for r in results}
+    with pytest.raises(SystemExit):
+        call_with_deadline(lambda: pool.submit_batch([((1, 2), (0,))] * 4), what)
+    with pytest.raises(BrokenPoolError):
+        call_with_deadline(lambda: pool.submit_batch([((0, 0), (0,))]), what)
+    call_with_deadline(pool.shutdown, what)
     assert len(pids) == 2
     for pid in pids:
         _assert_reaped(pid)

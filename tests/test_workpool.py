@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import signal
 import sys
@@ -322,36 +321,44 @@ def test_make_pool():
 
 
 class _ShareExecutor:
-    """Takes shares: each worker's session records the shares it is handed."""
-
-    takes_shares = True
+    """Runs its own children, which record the shares of each batch: a pool
+    over it starts no worker thread."""
 
     def __init__(self):
         self.shares = []
+        self.stops = 0
 
     def __call__(self, job):  # the pool never calls it directly
-        raise AssertionError("a share executor was called with one job")
+        raise AssertionError("an executor with children was called with one job")
 
-    @contextlib.contextmanager
-    def worker_session(self):
-        def run(share):
-            self.shares.append(tuple(share))
-            return [job * 3 for job in share]
+    def children(self, workers):
+        self.workers = workers
+        return self
 
-        yield run
+    def run(self, shares):
+        self.shares.append([tuple(share) for share in shares])
+        return [([job * 3 for job in share], 1) for share in shares]
+
+    def stop(self):
+        self.stops += 1
 
 
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_share_executors_get_runs_of_ceil_n_over_workers_jobs(queue_kind):
     executor = _ShareExecutor()
+    threads = threading.active_count()
     with make_pool(queue_kind, 3, executor, diagnostics=True) as pool:
+        assert executor.workers == 3
+        assert threading.active_count() == threads  # no worker thread
         for n in (10, 2, 0, 9):
-            executor.shares.clear()
             assert pool.submit_batch(list(range(n))) == [j * 3 for j in range(n)]
             size = max(1, -(-n // 3))
-            assert sorted(executor.shares) == [tuple(range(i, min(i + size, n))) for i in range(0, n, size)]
-            # the log holds every job index of each claimed share, once
+            assert executor.shares[-1] == [tuple(range(i, min(i + size, n))) for i in range(0, n, size)]
+            assert pool.last_busy_ns == len(executor.shares[-1])  # each share's busy time
+            # the log holds every job index of each share, once
             assert execution_counts(pool.batch_logs[-1], n) == [1] * n
+        assert executor.stops == 0
+    assert executor.stops == 1  # shutdown stops the children
 
 
 def test_execution_counts_helper():
