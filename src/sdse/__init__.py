@@ -1,7 +1,8 @@
 """Scenario-based design space exploration toolkit.
 
-A batch work pool with persistent worker threads drives parallel evaluation
-of application-to-architecture mappings under workload scenarios;  a
+A batch work pool evaluates application-to-architecture mappings under
+workload scenarios in parallel: in forked children driven by the submitting
+thread wherever ``os.fork`` exists, else in worker threads. A
 genetic-algorithm explorer and a scenario-subset selector cooperate to find
 good mappings, and a benchmark harness measures how the pool scales.
 """

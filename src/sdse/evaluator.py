@@ -31,10 +31,19 @@ fork, the pool's worker threads evaluate in process
 (:class:`MappingExecutor`), one job at a time, holding the GIL while they
 do. Results travel as exact doubles, so both give bit-identical fitness.
 
+The child layer has two parts. :class:`EvaluationChild` is a bare process
+handle: it forks on the first send, pins itself, sends, reads under a
+deadline and stops. :class:`EvaluationChildren` is the batch driver: it
+holds each share's state for one batch and frames, sends, collects, fails
+and re-runs the share's requests. Neither the driver nor the selector's
+helper sends a child a request while a reply to its previous one is
+unread, so a reply is not padded and a read takes whatever the pipe holds,
+up to 4 KiB.
+
 A share's protocol work is done in bulk on both sides of the pipe, since
 the submitting thread does it for every share while holding the GIL. The
 parent packs each gene vector of a request with one cached ``struct.Struct``
-and joins them (:meth:`EvaluationChild._frame_run`), and reads a request's
+and joins them (:meth:`EvaluationChildren._frame`), and reads a request's
 replies with one ``os.read`` and one unpack when they are all plain fitness
 replies (:func:`_fitness_values`). The child range-checks a request's
 genes once and packs each reply in one call (:func:`_fitness_replies`). A
@@ -312,9 +321,8 @@ FITNESS = 0  # A = gene vectors back to back, B = subset: one (value, energy) re
 COSTS = 1  # A = gene vectors back to back, B = subset: (makespan, energy) per vector and scenario
 TAUS = 2  # A = scenarios taken, B = candidates, doubles = a pass's rows and values: one tau per candidate
 _REQUEST = struct.Struct("<BBiii")  # kind, another request follows, lengths of A, B and the doubles
-_REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes (see _reply)
+_REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes
 _FITNESS = struct.Struct("<dd")  # value, energy
-_MIN_REPLY = _REPLY.size + _FITNESS.size  # every reply is at least this long (see _reply)
 _FITNESS_REPLY = struct.Struct("<BIdd")  # a whole fitness reply: _REPLY (0, _FITNESS.size), then _FITNESS
 _FITNESS_HEAD = _REPLY.pack(0, _FITNESS.size)  # the header of every fitness reply
 
@@ -380,35 +388,28 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
 
 
 class EvaluationChild:
-    """A persistent forked child process that answers requests over a pair
-    of pipes, in order: one of a pool's children, and the base of the
-    subset selector's helper.
+    """A handle on one persistent forked child process that answers
+    requests over a pair of pipes, in order: each of a pool's children, and
+    the base of the subset selector's helper. It keeps no request's state:
+    it forks, sends, reads and stops, and its user tracks what it asked.
 
-    Lifecycle: the child is forked by the first request, after the spec has
+    Lifecycle: the child is forked by the first send, after the spec has
     been compiled here, so it inherits the compiled form. It closes every
     inherited descriptor except its two pipe ends, runs only :func:`_serve`
     and ends with ``os._exit``, so it never returns into the caller's stack.
     Given a ``cpu``, the child is pinned to it once forked.
     The serve loop takes no lock, imports nothing and does no I/O but its
     pipes, so a lock another thread held at the fork cannot block it. Each
-    reply is a ``_REPLY`` header and its payload (see :func:`_reply`); the
-    i-th reply to a request (counting from 0) must come within (i + 1) ×
-    :data:`CHILD_JOB_TIMEOUT_S` of sending it.
-
-    As a pool's child it evaluates one share of each batch in steps that
-    :class:`EvaluationChildren` drives: :meth:`_queue_share` frames the
-    share's ``FITNESS`` requests, :meth:`_send_next` sends the next one and
-    :meth:`_collect` reads what has come of its replies. A job's error reply
-    becomes the :class:`JobError` in-process evaluation gives.
+    reply is a ``_REPLY`` header and its payload.
 
     Failures: a child found dead when a request is sent is replaced and the
-    request goes to the new child. A reply that does not come in time, or a
-    child that exits instead, stops the child (the next request forks a new
-    one); for a share, see :meth:`_fail`. :meth:`stop` closes the pipes,
-    kills the child and reaps it.
+    request goes to the new child. A read raises ``TimeoutError`` when no
+    byte comes by its deadline and ``ChildProcessError`` when the child has
+    exited; the user then stops the child, and the next send forks a new
+    one. :meth:`stop` closes the pipes, kills the child and reaps it.
     """
 
-    _what = "evaluation child"  # names the child in the errors a reply raises
+    _what = "evaluation child"  # names the child in the errors a read raises
     _spin_s = 0.0  # how long each side busy-polls for a message before it blocks
     _search_type = None  # builds the search a TAUS request scans (the selector's helper)
 
@@ -419,131 +420,6 @@ class EvaluationChild:
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
-        # the share being evaluated: its jobs, their result slots, and the
-        # requests still to send as (request, the share indices of its jobs)
-        self._jobs: Sequence[MappingJob] = ()
-        self._results: list = []
-        self._todo: list[tuple[bytes, list[int]]] = []
-        # the request in flight: its jobs, when it was sent, how many of
-        # its replies are stored, and the bytes read of the next one
-        self._asked: list[int] = []
-        self._sent = 0.0
-        self._got = 0
-        self._data = b""
-
-    def _queue_share(self, jobs: Sequence[MappingJob], results: list) -> None:
-        """Make ``jobs`` the share whose results go to ``results``, in order,
-        and queue its requests: one ``FITNESS`` request per run of
-        consecutive jobs with the same subset (see :meth:`_frame_run`). A
-        job whose gene count is not the spec's is evaluated here instead, as
-        :class:`MappingExecutor` does, with the same result or error."""
-        self._jobs, self._results, self._todo = jobs, results, []
-        spec, aggregate = self._spec, self._aggregate
-        n_genes = len(spec.processes)
-        asked: list[int] = []
-        for i, (genes, subset) in enumerate(jobs):
-            if len(genes) != n_genes or not n_genes:
-                results[i] = _evaluate_here(spec, genes, subset, aggregate)
-                continue
-            if asked and subset is not jobs[asked[-1]][1] and subset != jobs[asked[-1]][1]:
-                self._frame_run(asked)
-                asked = []
-            asked.append(i)
-        if asked:
-            self._frame_run(asked)
-
-    def _frame_run(self, asked: list[int]) -> None:
-        """Queue the request for the asked jobs, which share one subset and
-        have the spec's gene count: the bytes of ``_request(FITNESS, <their
-        gene vectors>, subset)``, each vector packed by one cached
-        ``struct.Struct``. A job holding a value no int32 holds is evaluated
-        here instead."""
-        jobs, results = self._jobs, self._results
-        spec, aggregate = self._spec, self._aggregate
-        subset = jobs[asked[0]][1]
-        try:
-            tail = _int32s(len(subset)).pack(*subset)
-        except struct.error:  # a subset index no int32 holds
-            for i in asked:
-                results[i] = _evaluate_here(spec, jobs[i][0], subset, aggregate)
-            return
-        pack = _int32s(len(spec.processes)).pack
-        vectors, sent = [], []
-        for i in asked:
-            try:
-                vectors.append(pack(*jobs[i][0]))
-            except struct.error:  # a gene no int32 holds
-                results[i] = _evaluate_here(spec, jobs[i][0], subset, aggregate)
-            else:
-                sent.append(i)
-        if sent:
-            head = _REQUEST.pack(FITNESS, False, len(spec.processes) * len(sent), len(subset), 0)
-            self._todo.append((head + b"".join(vectors) + tail, sent))
-
-    def _send_next(self) -> bool:
-        """The send step: send the share's next queued request; False once
-        none is left. A send that fails is a failure of that request (see
-        :meth:`_fail`)."""
-        while self._todo:
-            request, self._asked = self._todo.pop(0)
-            self._got, self._data = 0, b""
-            try:
-                self._send(request)
-            except Exception as exc:
-                self._fail(exc)
-                continue
-            self._sent = time.monotonic()
-            return True
-        return False
-
-    def _deadline(self) -> float:
-        """When the next reply of the request in flight is due."""
-        return self._sent + (self._got + 1) * CHILD_JOB_TIMEOUT_S
-
-    def _collect(self) -> bool:
-        """The collect step: one read of the replies of the request in
-        flight, storing each whole reply in its job's slot; True once the
-        request needs no further read. Call it once the reply pipe is
-        readable or :meth:`_deadline` has passed; it waits no longer.
-
-        A read asks for as many bytes as the replies still due must hold at
-        least, so it never takes a byte of a reply after them. When it ends
-        with exactly that many plain fitness replies, one unpack gives them
-        all (:func:`_fitness_values`); otherwise (an error reply, or replies
-        the child wrote early) the whole ones are parsed one by one."""
-        asked, got = self._asked, self._got
-        due = len(asked) - got
-        try:
-            data = self._data + self._read(_bytes_due(self._data, due), self._deadline())
-            values = _fitness_values(data, due)
-            if values is None:
-                replies, data = _whole_replies(data, due)
-                values = [JobError(p.decode()) if status else Fitness(*_FITNESS.unpack(p)) for status, p in replies]
-        except Exception as exc:
-            self._fail(exc)
-            return True
-        results = self._results
-        for i, value in zip(asked[got:], values):
-            results[i] = value
-        self._got += len(values)
-        self._data = data
-        return self._got == len(asked)
-
-    def _fail(self, exc: Exception) -> None:
-        """The request in flight failed with ``exc``: the child exited,
-        missed a deadline or could not be sent to. Stop the child and keep
-        the replies already stored. With one reply unread, that job gets the
-        ``JobError`` of the failure. With more, the child's own replies
-        cannot tell which job ended it (it writes a request's replies
-        together), so each unread job is queued to run again alone, before
-        the rest of the share: the one that fails again gets its
-        ``JobError``, and every job after it runs once, in a fresh child."""
-        self.stop()  # a child that hung or died cannot take the next job
-        unread = self._asked[self._got :]
-        if len(unread) == 1:
-            self._results[unread[0]] = JobError.of(exc)
-        else:
-            self._todo[:0] = [(_request(FITNESS, *self._jobs[i]), [i]) for i in unread]
 
     def _receive_values(self) -> "tuple[float, ...] | JobError":
         """The doubles of a COSTS or TAUS reply, or the error it carries;
@@ -551,8 +427,8 @@ class EvaluationChild:
         deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
         data, replies = b"", []
         while not replies:
-            data += self._read(_bytes_due(data, 1), deadline)
-            replies, data = _whole_replies(data, 1)
+            data += self._read(deadline)
+            replies, data = _whole_replies(data)
         ((status, payload),) = replies
         if status:
             return JobError(payload.decode())
@@ -569,13 +445,16 @@ class EvaluationChild:
             self._start()
             _write_all(self._to_child, request)
 
-    def _read(self, n: int, deadline: float) -> bytes:
-        """Between 1 and n bytes from the reply pipe."""
+    def _read(self, deadline: float) -> bytes:
+        """The bytes the reply pipe holds, up to 4 KiB, once it is readable;
+        no later than ``deadline``. A read allocates the size it asks for,
+        so it asks for one page: a share's replies take a few hundred
+        bytes, and a longer reply takes more reads."""
         if self._spin_s:
             _spin(self._poll, self._spin_s)
         if not self._poll.poll(max(0.0, deadline - time.monotonic()) * 1e3):
             raise TimeoutError(f"{self._what} gave no result within {CHILD_JOB_TIMEOUT_S:g} s")
-        chunk = os.read(self._from_child, n)
+        chunk = os.read(self._from_child, 4096)
         if not chunk:
             raise ChildProcessError(f"{self._what} exited during the job")
         return chunk
@@ -615,22 +494,46 @@ class EvaluationChild:
             os.waitpid(pid, 0)
 
 
-class EvaluationChildren:
-    """A pool's evaluation children, driven by the thread that submits its
-    batches: no worker thread and no barrier stands between them.
+class _Share:
+    """One share of a batch while :meth:`EvaluationChildren.run` evaluates
+    it: the child it goes to, its jobs and their result slots, the requests
+    still to send as (request, the share indices of its jobs), and of the
+    request in flight the jobs whose replies are unread, when the next of
+    them is due, and the bytes read of it."""
 
-    :meth:`run` gives child w share w of a batch. It frames every share's
-    first request, then writes them all before it reads a reply, the last
-    child's first. The order matters: a child woken on the CPU the
-    submitting thread runs on takes that CPU until its share is done, so
-    any request written after it waits as long. The subset selector's
-    pass leaves the submitting thread off the last CPU (its helper's), so
-    the child there must not be the one that waits. Then one
+    __slots__ = ("child", "jobs", "results", "todo", "asked", "deadline", "data")
+
+    def __init__(self, child: EvaluationChild, jobs: Sequence[MappingJob]):
+        self.child, self.jobs = child, jobs
+        self.results: list = [None] * len(jobs)
+        self.todo: list[tuple[bytes, list[int]]] = []
+        self.asked: list[int] = []
+        self.deadline = 0.0
+        self.data = b""
+
+
+class EvaluationChildren:
+    """A pool's evaluation children and the driver of their batches, run by
+    the thread that submits them: no worker thread and no barrier stands
+    between them.
+
+    :meth:`run` gives child w share w of a batch and holds each share's
+    state for that call only. It frames every share's requests
+    (:meth:`_frame`), then writes each share's first one before it reads a
+    reply, the last child's first. The order matters: a child woken on the
+    CPU the submitting thread runs on takes that CPU until its share is
+    done, so any request written after it waits as long. The subset
+    selector's pass leaves the submitting thread off the last CPU (its
+    helper's), so the child there must not be the one that waits. Then one
     ``select.poll`` over the children's reply pipes waits for the first
-    reply or the next deadline, whichever comes first; each child's
-    replies are stored as they come (:meth:`EvaluationChild._collect`), and
-    a child whose request is answered is sent its share's next one, if any
-    (another subset, or a job to run again alone after a failure).
+    reply or the next deadline, whichever comes first; each child's replies
+    are stored as they come (:meth:`_collect`), and a child whose request
+    is answered is sent its share's next one, if any (another subset, or a
+    job to run again alone after a failure, see :meth:`_fail`). So no child
+    is sent a request while a reply to its previous one is unread. A job's
+    error reply becomes the :class:`JobError` in-process evaluation gives;
+    the i-th reply to a request (counting from 0) must come within (i + 1)
+    × :data:`CHILD_JOB_TIMEOUT_S` of sending it.
     """
 
     def __init__(self, children: Sequence[EvaluationChild]):
@@ -640,36 +543,133 @@ class EvaluationChildren:
         """Each share's results (the fitness, or the JobError, of each job,
         in order) and its busy time: nanoseconds from the start of the run
         to storing the share's last reply."""
-        done: list = [None] * len(shares)
+        started = time.perf_counter_ns()
+        batch = [self._queue(child, jobs) for child, jobs in zip(self._children, shares)]
+        done: list = [None] * len(batch)
         waiting: dict[int, int] = {}  # reply pipe -> share index
         poll = select.poll()
 
-        def advance(w: int, child: EvaluationChild) -> None:
-            """Send child w its next request, or record its share as done."""
-            if child._send_next():
-                waiting[child._from_child] = w
-                poll.register(child._from_child, select.POLLIN)
+        def advance(w: int) -> None:
+            """Send share w's next request, or record the share as done."""
+            share = batch[w]
+            if self._send_next(share):
+                waiting[share.child._from_child] = w
+                poll.register(share.child._from_child, select.POLLIN)
             else:
-                done[w] = (child._results, time.perf_counter_ns() - started)
+                done[w] = (share.results, time.perf_counter_ns() - started)
 
-        started = time.perf_counter_ns()
-        for child, share in zip(self._children, shares):
-            try:
-                child._queue_share(share, [None] * len(share))
-            except Exception as exc:  # a job that is no (genes, subset) pair fails its share
-                child._results, child._todo = [JobError.of(exc)] * len(share), []
-        for w in reversed(range(len(shares))):
-            advance(w, self._children[w])
+        for w in reversed(range(len(batch))):
+            advance(w)
         while waiting:
-            timeout = min(self._children[w]._deadline() for w in waiting.values()) - time.monotonic()
+            timeout = min(batch[w].deadline for w in waiting.values()) - time.monotonic()
             ready = {fd for fd, _ in poll.poll(max(0.0, timeout) * 1e3)}
             for fd, w in list(waiting.items()):
-                child = self._children[w]
-                if (fd in ready or child._deadline() <= time.monotonic()) and child._collect():
+                if (fd in ready or batch[w].deadline <= time.monotonic()) and self._collect(batch[w]):
                     poll.unregister(fd)
                     del waiting[fd]
-                    advance(w, child)
+                    advance(w)
         return done
+
+    def _queue(self, child: EvaluationChild, jobs: Sequence[MappingJob]) -> _Share:
+        """The share of ``jobs`` that ``child`` evaluates, its requests
+        framed. A spec with no processes has every job evaluated here,
+        since no request can delimit its empty gene vectors. A job that is
+        no (genes, subset) pair fails the whole share."""
+        share = _Share(child, jobs)
+        try:
+            if child._spec.processes:
+                share.todo = self._frame(share, range(len(jobs)))
+            else:
+                share.results = [_evaluate_here(child._spec, genes, subset, child._aggregate) for genes, subset in jobs]
+        except Exception as exc:
+            share.results, share.todo = [JobError.of(exc)] * len(jobs), []
+        return share
+
+    def _frame(self, share: _Share, indices: Iterable[int]) -> list[tuple[bytes, list[int]]]:
+        """The ``FITNESS`` requests for the share's jobs at ``indices``, in
+        order, each with the share indices of its jobs: one per run of
+        consecutive jobs with the same subset, the bytes of
+        ``_request(FITNESS, <their gene vectors>, subset)``, each vector
+        packed by one cached ``struct.Struct``. A job the packing rejects (a
+        gene count not the spec's, or a value no int32 holds) is evaluated
+        here instead, as :class:`MappingExecutor` does, with the same result
+        or error."""
+        spec, aggregate, jobs = share.child._spec, share.child._aggregate, share.jobs
+        n_genes = len(spec.processes)
+        pack = _int32s(n_genes).pack
+        runs: list = []  # (subset, its packing, the packed vectors, their share indices)
+        for i in indices:
+            genes, subset = jobs[i]
+            try:
+                vector = pack(*genes)
+                if not runs or subset is not runs[-1][0] and subset != runs[-1][0]:
+                    runs.append((subset, _int32s(len(subset)).pack(*subset), [], []))
+            except struct.error:
+                share.results[i] = _evaluate_here(spec, genes, subset, aggregate)
+                continue
+            runs[-1][2].append(vector)
+            runs[-1][3].append(i)
+        return [
+            (_REQUEST.pack(FITNESS, False, n_genes * len(asked), len(subset), 0) + b"".join(vectors) + tail, asked)
+            for subset, tail, vectors, asked in runs
+        ]
+
+    def _send_next(self, share: _Share) -> bool:
+        """Send the share's next request; False once none is left. A send
+        that fails is a failure of that request (see :meth:`_fail`)."""
+        while share.todo:
+            request, share.asked = share.todo.pop(0)
+            share.data = b""
+            try:
+                share.child._send(request)
+            except Exception as exc:
+                self._fail(share, exc)
+                continue
+            share.deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
+            return True
+        return False
+
+    def _collect(self, share: _Share) -> bool:
+        """One read of the replies to the share's request in flight,
+        storing each whole reply in its job's slot; True once the request
+        needs no further read. Call it once the reply pipe is readable or
+        the share's deadline has passed; it waits no longer.
+
+        When the bytes read hold exactly the replies due and they are all
+        plain fitness replies, one unpack gives them all
+        (:func:`_fitness_values`); otherwise (an error reply, or replies
+        the child wrote early) the whole ones are parsed one by one and the
+        rest is kept for the next read."""
+        try:
+            data = share.data + share.child._read(share.deadline)
+            values = _fitness_values(data, len(share.asked))
+            if values is None:
+                replies, data = _whole_replies(data)
+                values = [JobError(p.decode()) if status else Fitness(*_FITNESS.unpack(p)) for status, p in replies]
+        except Exception as exc:
+            self._fail(share, exc)
+            return True
+        for i, value in zip(share.asked, values):
+            share.results[i] = value
+        share.asked = share.asked[len(values) :]
+        share.deadline += len(values) * CHILD_JOB_TIMEOUT_S
+        share.data = data
+        return not share.asked
+
+    def _fail(self, share: _Share, exc: Exception) -> None:
+        """The share's request in flight failed with ``exc``: its child
+        exited, missed a deadline or could not be sent to. Stop the child
+        and keep the replies already stored. With one reply unread, that job
+        gets the ``JobError`` of the failure. With more, the child's own
+        replies cannot tell which job ended it (it writes a request's
+        replies together), so each unread job is queued to run again alone,
+        before the rest of the share: the one that fails again gets its
+        ``JobError``, and every job after it runs once, in a fresh child."""
+        share.child.stop()  # a child that hung or died cannot take the next job
+        if len(share.asked) == 1:
+            share.results[share.asked[0]] = JobError.of(exc)
+        else:
+            share.todo[:0] = [request for i in share.asked for request in self._frame(share, [i])]
 
     def stop(self) -> None:
         """Stop every child. Idempotent."""
@@ -692,40 +692,30 @@ def _int32s(n: int) -> struct.Struct:
 def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
     """The fitness of each reply in ``data``, or None unless it holds
     exactly ``count`` plain fitness replies. A reply with the fitness header
-    is exactly ``_MIN_REPLY`` bytes long, so when the header bytes every
-    ``_MIN_REPLY`` bytes all match, every reply starts where it was checked."""
-    if len(data) != count * _MIN_REPLY:
+    is exactly ``_FITNESS_REPLY.size`` bytes long, so when the header bytes
+    at every multiple of that size all match, every reply starts where it
+    was checked."""
+    size = _FITNESS_REPLY.size
+    if len(data) != count * size:
         return None
     for k, byte in enumerate(_FITNESS_HEAD):
-        if data[k::_MIN_REPLY].count(byte) != count:
+        if data[k::size].count(byte) != count:
             return None
     return [Fitness(value, energy) for _, _, value, energy in _FITNESS_REPLY.iter_unpack(data)]
 
 
-def _bytes_due(data: bytes, count: int) -> int:
-    """How many bytes to read for the next ``count`` replies, ``data``
-    holding the start of the first (less than the whole of it): as many as
-    they must hold at least (every reply is at least ``_MIN_REPLY`` long),
-    or the rest of the first reply if its header says it is longer."""
-    end = _MIN_REPLY
-    if len(data) >= _REPLY.size:
-        _, size = _REPLY.unpack_from(data)
-        end = _REPLY.size + max(size, _FITNESS.size)
-    return max(end, count * _MIN_REPLY) - len(data)
-
-
-def _whole_replies(data: bytes, count: int) -> "tuple[list[tuple[int, bytes]], bytes]":
-    """The whole replies at the start of ``data``, at most ``count``, as
-    (status, payload), and the bytes after them."""
-    replies = []
-    while len(replies) < count and len(data) >= _REPLY.size:
-        status, size = _REPLY.unpack_from(data)
-        end = _REPLY.size + max(size, _FITNESS.size)
+def _whole_replies(data: bytes) -> "tuple[list[tuple[int, bytes]], bytes]":
+    """The whole replies at the start of ``data``, as (status, payload), and
+    the bytes after them."""
+    replies, start = [], 0
+    while len(data) - start >= _REPLY.size:
+        status, size = _REPLY.unpack_from(data, start)
+        end = start + _REPLY.size + size
         if len(data) < end:
             break
-        replies.append((status, data[_REPLY.size : _REPLY.size + size]))
-        data = data[end:]
-    return replies, data
+        replies.append((status, data[end - size : end]))
+        start = end
+    return replies, data[start:]
 
 
 def _cost_pairs(values: Sequence[float], n_scen: int) -> list[list[tuple[float, float]]]:
@@ -853,9 +843,8 @@ def _spin(poll, seconds: float) -> None:
 
 
 def _reply(status: int, payload: bytes) -> bytes:
-    """One reply: the header, then the payload padded with zero bytes to at
-    least a fitness payload's length (the header keeps the true length)."""
-    return _REPLY.pack(status, len(payload)) + payload.ljust(_FITNESS.size, b"\0")
+    """One reply: the header, then the payload."""
+    return _REPLY.pack(status, len(payload)) + payload
 
 
 def _error_reply(exc: Exception) -> bytes:

@@ -26,11 +26,11 @@ explorer generations over the training candidates offered since the last
 one, so whole runs are reproducible. An exception raised by a pass
 propagates to the explorer's caller. Where a second CPU is free, the
 service splits each pass with one forked selector helper
-(:class:`_SelectionHelper`), an evaluation child that also scans: through
-the evaluator's one request form, it evaluates half of the new training
-mappings and scores half of each step's candidates with the same code, and
-exact doubles carry its results back, so a split pass publishes exactly
-what a serial one does.
+(:class:`_SelectionHelper`), a child process that also scans: through the
+evaluator's child handle and its one request form, it evaluates half of
+the new training mappings and scores half of each step's candidates with
+the same code, and exact doubles carry its results back, so a split pass
+publishes exactly what a serial one does.
 """
 
 from __future__ import annotations
@@ -488,14 +488,18 @@ _HELPER_SPIN_S = 1e-3
 
 
 class _SelectionHelper(EvaluationChild):
-    """The selector's forked helper: an evaluation child that also scans,
-    running the later half of a pass's work lists with the same functions
-    this thread runs on the first half.
+    """The selector's forked helper: a child that also scans, running the
+    later half of a pass's work lists with the same functions this thread
+    runs on the first half. It takes only the process handle from
+    :class:`EvaluationChild` (fork, send, read under a deadline, stop) and
+    keeps its own pass state.
 
     :meth:`costs` sends the pass's new training mappings as a ``COSTS``
     request. :meth:`scan` sends each search step's candidates as a ``TAUS``
     request; the pass's first one carries its makespan rows and full-set
     fitness values, so the helper keeps a copy of the pass's search in step.
+    Each request's one reply is read before the next request is sent, or
+    the helper is stopped.
 
     Unavailable (see :func:`_helper_available`), every list runs whole on
     this thread. If the helper fails during a pass (it dies, exceeds

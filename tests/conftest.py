@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -233,6 +235,38 @@ def no_pool_thread_left():
     left = [t.name for t in threading.enumerate() if t not in before and t.name.startswith("sdse-")]
     if left:
         pytest.fail(f"pool worker threads left running: {left}")
+
+
+def _open_descriptors() -> set[tuple[str, str]]:
+    """This process's open descriptors as (number, what it names). The one
+    the listing itself opens is closed by the time its name is read, so it
+    is left out."""
+    names = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            names.add((fd, os.readlink(f"/proc/self/fd/{fd}")))
+        except OSError:
+            continue
+    return names
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test that leaves a descriptor open (Linux only): a pipe to a
+    child, or a file, must be closed by whatever opened it once the test is
+    done with it. Garbage is collected only when a descriptor is left, so
+    that one an unreferenced object would close is not counted."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    before = _open_descriptors()
+    yield
+    left = _open_descriptors() - before
+    if left:
+        gc.collect()
+        left = _open_descriptors() - before
+    if left:
+        pytest.fail(f"descriptors left open: {sorted(left)}")
 
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []

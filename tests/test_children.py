@@ -20,6 +20,7 @@ import time
 import pytest
 
 import sdse.evaluator as evaluator
+import sdse.selector as selector_mod
 from sdse.evaluator import (
     AGGREGATES,
     Fitness,
@@ -90,14 +91,16 @@ def test_child_job_errors_read_like_in_process_ones(two_proc_spec):
     assert got[-1] == evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,))
 
 
-def _serve_requests(spec, requests_bytes):
-    """Run a child's serve loop in this process on the given request bytes;
-    returns the read end of its reply pipe, holding every reply."""
+def _serve_requests(spec, requests_bytes, child=None):
+    """Run a child's serve loop in this process on the given request bytes
+    (as ``child``, by default a pool's); returns the read end of its reply
+    pipe, holding every reply."""
     requests, to_child = os.pipe()
     from_child, replies = os.pipe()
     os.write(to_child, requests_bytes)
     os.close(to_child)
-    evaluator._serve(evaluator.EvaluationChild(spec, "average"), requests, replies)  # answers all, then sees EOF
+    child = child or evaluator.EvaluationChild(spec, "average")
+    evaluator._serve(child, requests, replies)  # answers all, then sees EOF
     os.close(requests)
     os.close(replies)
     return from_child
@@ -105,7 +108,7 @@ def _serve_requests(spec, requests_bytes):
 
 def _fail_genes_1_1_with_a_short_error(monkeypatch):
     """Make the kernel raise ``KeyError(1)`` for genes (1, 1), whose reply
-    is no longer than a fitness reply."""
+    is shorter than a fitness reply."""
     real_costs = evaluator._genes_costs
 
     def short_error(spec, genes, scenarios):
@@ -114,50 +117,6 @@ def _fail_genes_1_1_with_a_short_error(monkeypatch):
         return real_costs(spec, genes, scenarios)
 
     monkeypatch.setattr(evaluator, "_genes_costs", short_error)
-
-
-def test_each_receive_takes_exactly_one_queued_reply(two_proc_spec, monkeypatch):
-    # replies queued in one pipe, an error reply shorter than a fitness reply
-    # and one longer among them, come back in order, and a read for some of
-    # them never takes a byte of the replies after them
-    _fail_genes_1_1_with_a_short_error(monkeypatch)
-    jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0,), (0,)), ((1, 0), (0,))]
-    from_child = _serve_requests(
-        two_proc_spec, b"".join(evaluator._request(evaluator.FITNESS, genes, subset) for genes, subset in jobs)
-    )
-    session = evaluator.EvaluationChild(two_proc_spec, "average")
-    reads = []
-    real_read = os.read
-
-    def counting_read(fd, n):
-        reads.append(n)
-        return real_read(fd, n)
-
-    monkeypatch.setattr(os, "read", counting_read)
-    session._from_child = from_child
-    session._poll = select.poll()
-    session._poll.register(from_child, select.POLLIN)
-    session._jobs, session._results = jobs, [None] * len(jobs)
-    try:
-        for asked in ([0], [1, 2], [3]):  # three requests in flight, one after another
-            session._asked, session._got, session._data, session._sent = asked, 0, b"", time.monotonic()
-            while not session._collect():
-                pass
-        assert real_read(from_child, 1) == b""  # nothing left behind
-    finally:
-        os.close(from_child)
-    fitness = [evaluate_mapping(two_proc_spec, Mapping(genes=g), (0,)) for g in ((0, 1), (1, 0))]
-    assert session._results == [
-        fitness[0],
-        JobError("KeyError: 1"),
-        JobError("ValueError: mapping has 1 genes, expected 2"),
-        fitness[1],
-    ]
-    one = evaluator._MIN_REPLY
-    long_error = evaluator._REPLY.size + len("ValueError: mapping has 1 genes, expected 2")
-    # one read per request for replies no longer than a fitness reply; the
-    # long error text takes one more read, for exactly its remaining bytes
-    assert reads == [one, 2 * one, long_error + one - 2 * one, one]
 
 
 def _record_requests(monkeypatch):
@@ -253,7 +212,7 @@ def _in_process(spec, jobs, aggregate="average"):
 
 
 def test_a_share_mixing_fitness_and_error_replies_keeps_each_in_its_slot(two_proc_spec, monkeypatch):
-    # a short error reply is as long as a fitness reply, a long one longer;
+    # a short error reply is shorter than a fitness reply, a long one longer;
     # either sends the parent's reading of the share down the per-reply path
     _fail_genes_1_1_with_a_short_error(monkeypatch)
     shares = [
@@ -319,10 +278,10 @@ def test_a_valid_share_costs_no_per_job_check_fitness_or_reply_parse(monkeypatch
     finally:
         os.close(from_child)
     assert counts == {"check_mapping": 0, "Fitness": 0}
-    assert len(replies) == 16 * evaluator._MIN_REPLY
+    assert len(replies) == 16 * evaluator._FITNESS_REPLY.size
     monkeypatch.undo()
 
-    def no_replies(data, count):
+    def no_replies(data):
         raise AssertionError("a reply was parsed on its own")
 
     monkeypatch.setattr(evaluator, "_whole_replies", no_replies)
@@ -357,6 +316,100 @@ def test_replies_written_early_are_read_into_their_own_slots(monkeypatch):
     assert_no_child_process()
 
 
+def _read_all(fd):
+    """Every byte the pipe holds; closes it."""
+    try:
+        return os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+
+
+class _HandFedChild(evaluator.EvaluationChild):
+    """A child handle with no process behind it: a send writes the first
+    ``cut`` bytes of ``replies`` into its reply pipe by hand, and the first
+    read writes the rest once it has taken those."""
+
+    def __init__(self, spec, replies, cut):
+        super().__init__(spec, "average")
+        self._from_child, self._writer = os.pipe()
+        self._poll = select.poll()
+        self._poll.register(self._from_child, select.POLLIN)
+        self._parts = [replies[:cut], replies[cut:]]
+        self.sent = []
+
+    def _send(self, request):
+        self.sent.append(request)
+        os.write(self._writer, self._parts.pop(0))
+
+    def _read(self, deadline):
+        chunk = super()._read(deadline)
+        if self._parts:
+            os.write(self._writer, self._parts.pop())
+        return chunk
+
+    def close(self):
+        os.close(self._from_child)
+        os.close(self._writer)
+
+
+def _values_split_at(spec, reply, cut):
+    """The doubles ``_receive_values`` reads from ``reply`` cut in two."""
+    child = _HandFedChild(spec, reply, cut)
+    try:
+        child._send(b"")
+        return child._receive_values()
+    finally:
+        child.close()
+
+
+def test_replies_split_at_any_byte_reach_their_slots(two_proc_spec, monkeypatch):
+    # a share's replies reach the parent in two reads, cut inside a header,
+    # inside a payload or between replies, with a short and a long error
+    # reply among them: each reply still lands in its own slot
+    _fail_genes_1_1_with_a_short_error(monkeypatch)
+    share = [((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,)), ((0, 2), (0,)), ((1, 0), (0,))]
+    request = evaluator._request(evaluator.FITNESS, [g for genes, _ in share for g in genes], (0,))
+    replies = _read_all(_serve_requests(two_proc_spec, request))
+    expected = [evaluator._evaluate_here(two_proc_spec, genes, subset, "average") for genes, subset in share]
+    assert expected[1] == JobError("KeyError: 1")
+    assert expected[3] == JobError("ValueError: gene 1 = 2 out of range (processors: 2)")
+    for cut in range(1, len(replies)):
+        child = _HandFedChild(two_proc_spec, replies, cut)
+        try:
+            ((results, _),) = evaluator.EvaluationChildren([child]).run([share])
+        finally:
+            child.close()
+        assert child.sent == [request], cut
+        assert [_hex(r) for r in results] == [_hex(r) for r in expected], cut
+
+
+def test_helper_replies_split_at_any_byte_give_the_same_doubles():
+    # a selector helper's COSTS and TAUS replies, cut the same way
+    spec = ga_instance()
+    rng = random.Random(41)
+    full = full_subset(spec)
+    mappings = [Mapping(genes=tuple(rng.randrange(3) for _ in range(6))) for _ in range(5)]
+    costs = [evaluator._mapping_costs(spec, m, spec.compiled_scenarios) for m in mappings]
+    rows = [[makespan for makespan, _ in row] for row in costs]
+    values = [evaluator.aggregate_values(row, "average") for row in rows]
+    doubles = [x for row in rows for x in row] + values
+    helper = selector_mod._SelectionHelper(spec, "sfs", "average", 2)
+    requests = [
+        (evaluator.EvaluationChild(spec, "average"), evaluator._request(evaluator.COSTS, [g for m in mappings for g in m.genes], full)),
+        (helper, evaluator._request(evaluator.TAUS, (), full, doubles)),
+    ]
+    for child, request in requests:
+        reply = _read_all(_serve_requests(spec, request, child))
+        whole = _values_split_at(spec, reply, len(reply))
+        assert not isinstance(whole, JobError)
+        for cut in range(1, len(reply)):
+            assert _values_split_at(spec, reply, cut) == whole, cut
+        if child is helper:
+            assert list(whole) == helper._search_type(rows, values).scan(list(full))
+        else:
+            assert evaluator._cost_pairs(whole, len(full)) == costs
+
+
 @pytest.mark.parametrize("n_channels", [0, 1])
 def test_specs_with_no_channel_or_one_match_in_process_evaluation(n_channels):
     spec = _chain_spec(5, n_channels, seed=n_channels)
@@ -370,6 +423,28 @@ def test_specs_with_no_channel_or_one_match_in_process_evaluation(n_channels):
                 got = pool.submit_batch(jobs)
             assert [_hex(r) for r in got] == expected, (aggregate, workers)
     assert_no_child_process()
+
+
+def test_a_spec_with_no_processes_is_evaluated_in_the_parent(monkeypatch):
+    # no request can delimit empty gene vectors, so no child is forked
+    config = {
+        "applications": [],
+        "architecture": {"processors": [{"name": "c", "speed": 1, "power": 1}], "interconnect": {"bandwidth": 1, "energy_per_unit": 0}},
+        "scenarios": [{"name": "s0", "active_apps": []}, {"name": "s1", "active_apps": []}],
+    }
+    spec = parse_config(json.dumps(config))
+    jobs = [((), (0,)), ((), (1, 0)), ((), ()), ((0,), (0,))]
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    pool = _children(2, spec)
+    what = "a batch on a spec with no processes"
+    try:
+        got = call_with_deadline(lambda: pool.submit_batch(jobs), what)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert got == _in_process(spec, jobs)
+    assert forks == []
 
 
 def test_spec_compiled_before_the_fork_not_at_parse(monkeypatch):
@@ -724,6 +799,71 @@ def test_a_child_dying_mid_share_leaves_its_siblings_share_alone(two_proc_spec, 
     finally:
         call_with_deadline(pool.shutdown, what)
     assert _log_lines(log).count("(0, 0)") == 7  # the sibling's five once, the two after the culprit once each
+    assert_no_child_process()
+
+
+def watch_requests_in_flight(monkeypatch):
+    """Record, as (replies still due, bytes read of the next), every send
+    to a running child while a reply to its previous request is unread;
+    returns (those breaches, the kind of every request sent). A breach is
+    recorded, not raised, since the driver turns an exception in a send
+    into a failed request."""
+    child_type = evaluator.EvaluationChild
+    real_send, real_read, real_stop = child_type._send, child_type._read, child_type.stop
+    unread = {}  # child -> [replies due to its last request, bytes read of the next]
+    breaches, kinds = [], []
+
+    def send(self, request):
+        due, data = unread.get(self, (0, b""))
+        pending = any(events & select.POLLIN for _, events in self._poll.poll(0)) if self._pid else False
+        if due or data or pending:
+            breaches.append((due, len(data)))
+        kind, _, n_a, _, _ = evaluator._REQUEST.unpack_from(request)
+        n_genes = len(self._spec.processes)
+        fitness_replies = n_a // n_genes if n_a and not n_a % n_genes else 1
+        unread[self] = [fitness_replies if kind == evaluator.FITNESS else 1, b""]
+        kinds.append(kind)
+        real_send(self, request)
+
+    def read(self, deadline):
+        chunk = real_read(self, deadline)
+        entry = unread[self]
+        entry[1] += chunk
+        while len(entry[1]) >= evaluator._REPLY.size:
+            end = evaluator._REPLY.size + evaluator._REPLY.unpack_from(entry[1])[1]
+            if len(entry[1]) < end:
+                break
+            entry[0] -= 1
+            entry[1] = entry[1][end:]
+        return chunk
+
+    def stop(self):
+        unread.pop(self, None)  # the replies of a stopped child go with it
+        real_stop(self)
+
+    monkeypatch.setattr(child_type, "_send", send)
+    monkeypatch.setattr(child_type, "_read", read)
+    monkeypatch.setattr(child_type, "stop", stop)
+    return breaches, kinds
+
+
+def test_no_child_is_sent_a_request_while_a_reply_is_unread(two_proc_spec, monkeypatch, tmp_path):
+    # the replies are not padded, so a read could take bytes of a later
+    # request's replies if one were in flight; a child killed mid-share has
+    # its unread jobs re-run one request at a time
+    _patch_children(monkeypatch, tmp_path / "calls.log")
+    breaches, kinds = watch_requests_in_flight(monkeypatch)
+    pool = _children(2, two_proc_spec)
+    what = "a batch whose first share kills its child"
+    try:
+        call_with_deadline(lambda: pool.submit_batch([((0, 1), (0,))] * 2), what)
+        jobs = [((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,)), ((0, 0), (0,)), ((0, 1), (0,))]
+        results = call_with_deadline(lambda: pool.submit_batch(jobs + [((0, 0), (0,))] * 5), what)
+    finally:
+        call_with_deadline(pool.shutdown, what)
+    assert breaches == []
+    assert kinds == [evaluator.FITNESS] * 9  # 2, then 2 shares and 5 jobs re-run alone
+    assert results[1] == JobError("ChildProcessError: evaluation child exited during the job")
     assert_no_child_process()
 
 

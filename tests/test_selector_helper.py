@@ -25,6 +25,7 @@ from sdse.model import Mapping, parse_config, random_mapping
 from sdse.selector import SELECTION_METHODS, SelectorService, StaticSubsetProvider
 
 from conftest import assert_no_child_process, call_with_deadline
+from test_children import watch_requests_in_flight
 from test_golden import golden_config
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -103,6 +104,19 @@ def test_helper_selection_equals_serial(monkeypatch, spec, method, aggregate, k)
     assert pids[0] and set(pids) == {pids[0]}  # one helper, kept across passes
     service.stop()
     _assert_reaped(pids[0])
+    assert_no_child_process()
+
+
+def test_the_helper_is_sent_no_request_while_a_reply_is_unread(monkeypatch, spec):
+    _force_helper(monkeypatch, True)
+    breaches, kinds = watch_requests_in_flight(monkeypatch)
+    service = SelectorService(spec, k=8)
+    for batch in _offers(spec):
+        service.submit_training(batch)
+        _tick(service)
+    service.stop()
+    assert {evaluator.COSTS, evaluator.TAUS} <= set(kinds)
+    assert breaches == []
     assert_no_child_process()
 
 
