@@ -54,8 +54,9 @@ results, error texts and deadlines.
 Every forked child, the pool's and the subset selector's helper alike,
 runs one serve loop (:func:`_serve`) over one request form, whose kind
 names the reply: each pool job's aggregated fitness (``FITNESS``), per-scenario
-costs (``COSTS``) or a search step's taus (``TAUS``). Only a child told that
-another request follows busy-polls for it; the pool's children never are.
+costs (``COSTS``) or a search step's taus (``TAUS``, which only the helper
+answers). Only a child told that another request follows busy-polls for
+it; the pool's children never are.
 
 The synthetic job body is a SHA-256 hash chain over a fixed 1 MiB block.
 CPython releases the GIL while hashing buffers larger than 2 KiB, so batches
@@ -390,8 +391,9 @@ def make_mapping_executor(spec: SystemSpec, aggregate: str = "average") -> Mappi
 class EvaluationChild:
     """A handle on one persistent forked child process that answers
     requests over a pair of pipes, in order: each of a pool's children, and
-    the base of the subset selector's helper. It keeps no request's state:
-    it forks, sends, reads and stops, and its user tracks what it asked.
+    the base of the subset selector's helper, the one child that answers
+    ``TAUS``. It keeps no request's state: it forks, sends, reads and stops,
+    and its user tracks what it asked.
 
     Lifecycle: the child is forked by the first send, after the spec has
     been compiled here, so it inherits the compiled form. It closes every
@@ -411,7 +413,6 @@ class EvaluationChild:
 
     _what = "evaluation child"  # names the child in the errors a read raises
     _spin_s = 0.0  # how long each side busy-polls for a message before it blocks
-    _search_type = None  # builds the search a TAUS request scans (the selector's helper)
 
     def __init__(self, spec: SystemSpec, aggregate: str, cpu: int | None = None):
         self._spec = spec
@@ -420,19 +421,6 @@ class EvaluationChild:
         self._pid = 0  # 0 while no child runs
         self._to_child = self._from_child = -1
         self._poll = None  # watches the reply pipe of the running child
-
-    def _receive_values(self) -> "tuple[float, ...] | JobError":
-        """The doubles of a COSTS or TAUS reply, or the error it carries;
-        the reply is due within :data:`CHILD_JOB_TIMEOUT_S` of this call."""
-        deadline = time.monotonic() + CHILD_JOB_TIMEOUT_S
-        data, replies = b"", []
-        while not replies:
-            data += self._read(deadline)
-            replies, data = _whole_replies(data)
-        ((status, payload),) = replies
-        if status:
-            return JobError(payload.decode())
-        return struct.unpack(f"<{len(payload) // 8}d", payload)
 
     def _send(self, request: bytes) -> None:
         """Write one request, forking the child first if none runs."""
@@ -523,8 +511,8 @@ class EvaluationChildren:
     reply, the last child's first. The order matters: a child woken on the
     CPU the submitting thread runs on takes that CPU until its share is
     done, so any request written after it waits as long. The subset
-    selector's pass leaves the submitting thread off the last CPU (its
-    helper's), so the child there must not be the one that waits. Then one
+    selector's pass leaves the submitting thread off its helper's CPU, the
+    largest in the affinity set, so the child there must not wait. Then one
     ``select.poll`` over the children's reply pipes waits for the first
     reply or the next deadline, whichever comes first; each child's replies
     are stored as they come (:meth:`_collect`), and a child whose request
@@ -743,14 +731,12 @@ def _serve(child: EvaluationChild, requests: int, replies: int) -> None:
     """Answer requests in order until the parent closes the request pipe,
     each with exact doubles or the ``"Type: message"`` text of the exception
     it raised. A FITNESS request gets one reply per gene vector (see
-    :func:`_fitness_replies`). A TAUS request's doubles set up a pass's
-    search, and its run A keeps that search in step with the parent's."""
+    :func:`_fitness_replies`). A TAUS request goes to the selector
+    helper's ``_taus``; a pool child, which has none, replies with an error."""
     spec, aggregate = child._spec, child._aggregate
-    n_scen = len(spec.scenarios)
     poll = select.poll()
     poll.register(requests, select.POLLIN)
     follows = False
-    search = None
     while True:
         if follows:
             _spin(poll, child._spin_s)
@@ -773,14 +759,7 @@ def _serve(child: EvaluationChild, requests: int, replies: int) -> None:
                 vectors = (Mapping(genes=a[i : i + n_genes]) for i in range(0, n_a, n_genes))
                 values = [x for m in vectors for cost in _mapping_costs(spec, m, scenarios) for x in cost]
             else:
-                if n_doubles:
-                    doubles = struct.unpack_from(f"<{n_doubles}d", payload, 4 * n)
-                    end = n_doubles - n_doubles // (n_scen + 1)  # the rows, then one value per row
-                    rows = [doubles[i : i + n_scen] for i in range(0, end, n_scen)]
-                    search = child._search_type(rows, doubles[end:])
-                for s in a[len(search.taken) :]:
-                    search.take(s)
-                values = search.scan(b)
+                values = child._taus(a, b, struct.unpack_from(f"<{n_doubles}d", payload, 4 * n))
             reply = _reply(0, struct.pack(f"<{len(values)}d", *values))
         except Exception as exc:
             reply = _error_reply(exc)

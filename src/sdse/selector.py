@@ -30,7 +30,10 @@ service splits each pass with one forked selector helper
 evaluator's child handle and its one request form, it evaluates half of
 the new training mappings and scores half of each step's candidates with
 the same code, and exact doubles carry its results back, so a split pass
-publishes exactly what a serial one does.
+publishes exactly what a serial one does. The helper is pinned to the
+largest CPU of the affinity set when it forks, as each pool child is to
+its own, and each pass keeps the explorer's thread off that CPU. A
+``TAUS`` request's layout, and the search it keeps in step, live here.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import contextlib
 import functools
 import operator
 import os
+import struct
 import time
 import weakref
 from collections import OrderedDict
@@ -47,6 +51,7 @@ from itertools import combinations
 from math import fsum
 from typing import Callable, Iterable, Sequence
 
+from . import evaluator
 from .evaluator import (
     AGGREGATES,
     COSTS,
@@ -58,11 +63,11 @@ from .evaluator import (
     _mapping_costs,
     _request,
     _unknown_aggregate,
+    _whole_replies,
     aggregate_values,
     full_subset,
 )
 from .model import Mapping, SystemSpec
-from .workpool import JobError
 
 SELECTION_METHODS = ("sfs", "sbs")
 TRAINING_CAPACITY = 16  # most recent distinct training mappings a service keeps
@@ -491,15 +496,16 @@ class _SelectionHelper(EvaluationChild):
     """The selector's forked helper: a child that also scans, running the
     later half of a pass's work lists with the same functions this thread
     runs on the first half. It takes only the process handle from
-    :class:`EvaluationChild` (fork, send, read under a deadline, stop) and
-    keeps its own pass state.
+    :class:`EvaluationChild` (fork, pin, send, read under a deadline, stop)
+    and keeps its own pass state. It is pinned, when it forks, to the
+    largest CPU of this thread's affinity set.
 
     :meth:`costs` sends the pass's new training mappings as a ``COSTS``
     request. :meth:`scan` sends each search step's candidates as a ``TAUS``
     request; the pass's first one carries its makespan rows and full-set
-    fitness values, so the helper keeps a copy of the pass's search in step.
-    Each request's one reply is read before the next request is sent, or
-    the helper is stopped.
+    fitness values, so the helper keeps a copy of the pass's search in step
+    (:meth:`_taus`). Each request's one reply is read before the next
+    request is sent, or the helper is stopped.
 
     Unavailable (see :func:`_helper_available`), every list runs whole on
     this thread. If the helper fails during a pass (it dies, exceeds
@@ -512,18 +518,25 @@ class _SelectionHelper(EvaluationChild):
     _spin_s = _HELPER_SPIN_S
 
     def __init__(self, spec: SystemSpec, method: str, aggregate: str, k: int):
-        super().__init__(spec, aggregate)
+        super().__init__(spec, aggregate, max(os.sched_getaffinity(0)) if _helper_available() else None)
         self._search_type = functools.partial(_SEARCHES[method], aggregate=aggregate, k=k)
-        self._available = _helper_available()
         self._active = False  # the helper takes part in the current pass
-        self._pinned = False  # _pin() ran in the current pass
-        self._mask: set[int] | None = None  # this thread's CPUs before _pin()
-        self._search = None  # the search whose rows the helper has
+        self._mask: set[int] | None = None  # this thread's CPUs before begin_pass()
+        # the pass's search: here, the one whose rows the helper has; in the
+        # helper, its copy of it
+        self._search = None
 
     def begin_pass(self) -> None:
-        self._active = self._available
-        self._pinned = False
+        """Let the helper take part if it can run, and keep this thread off
+        the helper's CPU until end_pass(), so the two never take turns on
+        one CPU, where each busy-poll would hold the other up."""
+        self._active = self._cpu is not None
         self._search = None
+        if self._active:
+            mask = os.sched_getaffinity(0)
+            with contextlib.suppress(OSError):  # no CPU but the helper's
+                os.sched_setaffinity(0, mask - {self._cpu})
+                self._mask = mask
 
     def end_pass(self) -> None:
         """Give this thread back the CPUs it had before the pass."""
@@ -531,20 +544,6 @@ class _SelectionHelper(EvaluationChild):
             mask, self._mask = self._mask, None
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(0, mask)
-
-    def _pin(self) -> None:
-        """Pin the helper to the last CPU this thread may use, and this
-        thread to the others until end_pass(), so the two never take turns
-        on one CPU, where each busy-poll would hold the other up."""
-        self._pinned = True
-        mask = os.sched_getaffinity(0)
-        if len(mask) < 2:
-            return
-        cpu = max(mask)
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(self._pid, {cpu})
-            os.sched_setaffinity(0, mask - {cpu})
-            self._mask = mask
 
     def costs(self, mappings: list[Mapping]) -> list[list[tuple[float, float]]]:
         """Per-scenario costs of each mapping on the full set, in order."""
@@ -563,11 +562,27 @@ class _SelectionHelper(EvaluationChild):
         return self._split(candidates, search.scan, functools.partial(self._scan_request, search), list)
 
     def _scan_request(self, search, part: list[int]) -> bytes:
+        """The ``TAUS`` request for ``part``: run A holds the scenarios
+        taken, run B the candidates; the pass's first one also carries the
+        makespan rows back to back, then one full-set value per row."""
         doubles = ()
         if self._search is not search:  # the pass's first scan request
             self._search = search
             doubles = [x for row in search.rows for x in row] + list(search.values)
         return _request(TAUS, search.taken, part, doubles, follows=search.steps_left() > 1)
+
+    def _taus(self, taken: Sequence[int], candidates: Sequence[int], doubles: Sequence[float]) -> list[float]:
+        """In the helper, the taus a ``TAUS`` request asks for (see
+        :meth:`_scan_request`): its doubles, if any, start the pass's
+        search, and its run A first brings that search in step."""
+        if doubles:
+            n_scen = len(self._spec.scenarios)
+            end = len(doubles) - len(doubles) // (n_scen + 1)  # the rows, then one value per row
+            self._search = self._search_type([doubles[i : i + n_scen] for i in range(0, end, n_scen)], doubles[end:])
+        search = self._search
+        for s in taken[len(search.taken) :]:
+            search.take(s)
+        return search.scan(candidates)
 
     def _split(self, items: list, run: Callable, request: Callable, decode: Callable) -> list:
         """``run(items)``, the later half of the items sent to the helper as
@@ -583,8 +598,6 @@ class _SelectionHelper(EvaluationChild):
         except OSError:  # no helper could be started
             self._fail()
             return run(items)
-        if not self._pinned:
-            self._pin()
         try:
             ours = run(mine)
             values = self._reply_values()
@@ -596,15 +609,23 @@ class _SelectionHelper(EvaluationChild):
         return ours + (run(theirs) if values is None else decode(values))
 
     def _reply_values(self) -> tuple[float, ...] | None:
-        """The doubles of the helper's reply, or None if it failed."""
+        """The doubles of the helper's reply to its request in flight, or
+        None if it failed: it died, sent no reply within
+        :data:`CHILD_JOB_TIMEOUT_S` of this call, or replied with an error."""
+        deadline = time.monotonic() + evaluator.CHILD_JOB_TIMEOUT_S
+        data, replies = b"", []
         try:
-            values = self._receive_values()
+            while not replies:
+                data += self._read(deadline)
+                replies, data = _whole_replies(data)
         except OSError:  # it died or hung
-            values = None
-        if values is None or isinstance(values, JobError):
             self._fail()
             return None
-        return values
+        ((status, payload),) = replies
+        if status:  # an error reply
+            self._fail()
+            return None
+        return struct.unpack(f"<{len(payload) // 8}d", payload)
 
     def _fail(self) -> None:
         """Stop the helper and run the rest of the pass on this thread."""

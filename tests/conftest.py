@@ -269,6 +269,23 @@ def no_descriptor_left():
         pytest.fail(f"descriptors left open: {sorted(left)}")
 
 
+@pytest.fixture(autouse=True)
+def affinity_restored():
+    """Fail a test that leaves this thread's CPU set changed (Linux only),
+    after giving the thread its set back: a selection pass keeps the
+    explorer's thread off its helper's CPU only until the pass ends, and a
+    later test must not inherit a narrower set."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    yield
+    after = os.sched_getaffinity(0)
+    if after != before:
+        os.sched_setaffinity(0, before)
+        pytest.fail(f"CPU set left changed: {sorted(before)} -> {sorted(after)}")
+
+
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
 

@@ -14,6 +14,7 @@ import os
 import random
 import select
 import signal
+import struct
 import threading
 import time
 
@@ -327,10 +328,11 @@ def _read_all(fd):
 class _HandFedChild(evaluator.EvaluationChild):
     """A child handle with no process behind it: a send writes the first
     ``cut`` bytes of ``replies`` into its reply pipe by hand, and the first
-    read writes the rest once it has taken those."""
+    read writes the rest once it has taken those. ``handle`` are the
+    handle's own arguments after the spec."""
 
-    def __init__(self, spec, replies, cut):
-        super().__init__(spec, "average")
+    def __init__(self, spec, replies, cut, *handle):
+        super().__init__(spec, *handle or ("average",))
         self._from_child, self._writer = os.pipe()
         self._poll = select.poll()
         self._poll.register(self._from_child, select.POLLIN)
@@ -352,14 +354,20 @@ class _HandFedChild(evaluator.EvaluationChild):
         os.close(self._writer)
 
 
+class _HandFedHelper(_HandFedChild, selector_mod._SelectionHelper):
+    """A selector helper's handle with no process behind it, fed the same
+    way."""
+
+
 def _values_split_at(spec, reply, cut):
-    """The doubles ``_receive_values`` reads from ``reply`` cut in two."""
-    child = _HandFedChild(spec, reply, cut)
+    """The doubles the selector helper's reader takes from ``reply`` cut in
+    two, or None if it is an error reply."""
+    helper = _HandFedHelper(spec, reply, cut, "sfs", "average", 2)
     try:
-        child._send(b"")
-        return child._receive_values()
+        helper._send(b"")
+        return helper._reply_values()
     finally:
-        child.close()
+        helper.close()
 
 
 def test_replies_split_at_any_byte_reach_their_slots(two_proc_spec, monkeypatch):
@@ -384,7 +392,8 @@ def test_replies_split_at_any_byte_reach_their_slots(two_proc_spec, monkeypatch)
 
 
 def test_helper_replies_split_at_any_byte_give_the_same_doubles():
-    # a selector helper's COSTS and TAUS replies, cut the same way
+    # a selector helper's COSTS and TAUS replies, cut the same way and read
+    # by the helper's reader
     spec = ga_instance()
     rng = random.Random(41)
     full = full_subset(spec)
@@ -401,7 +410,7 @@ def test_helper_replies_split_at_any_byte_give_the_same_doubles():
     for child, request in requests:
         reply = _read_all(_serve_requests(spec, request, child))
         whole = _values_split_at(spec, reply, len(reply))
-        assert not isinstance(whole, JobError)
+        assert whole is not None
         for cut in range(1, len(reply)):
             assert _values_split_at(spec, reply, cut) == whole, cut
         if child is helper:
@@ -490,7 +499,20 @@ def test_serve_answers_a_share_with_one_write_of_its_single_job_replies(two_proc
     assert single.count(b"ValueError: gene 1 = 2 out of range (processors: 2)") == 1
 
 
-def test_one_child_answers_fitness_and_cost_requests_in_order():
+def _reply_doubles(child):
+    """The doubles of a pool child's one reply to its request in flight, or
+    the JobError it carries."""
+    deadline = time.monotonic() + 5
+    data, replies = b"", []
+    while not replies:
+        data += child._read(deadline)
+        replies, data = evaluator._whole_replies(data)
+    ((status, payload),) = replies
+    return JobError(payload.decode()) if status else struct.unpack(f"<{len(payload) // 8}d", payload)
+
+
+def test_one_child_answers_fitness_and_cost_requests_in_order(monkeypatch):
+    breaches, kinds = watch_requests_in_flight(monkeypatch)
     rng = random.Random(17)
     spec, _ = random_float_spec(rng)
     mappings = _oracle_mappings(spec, rng)[:3]
@@ -498,16 +520,19 @@ def test_one_child_answers_fitness_and_cost_requests_in_order():
     genes = [g for m in mappings for g in m.genes]
     session = evaluator.EvaluationChild(spec, "worst")
     try:
-        session._send(evaluator._request(evaluator.COSTS, genes, subset) + evaluator._request(evaluator.TAUS, (), (0,)))
-        costs = evaluator._cost_pairs(session._receive_values(), len(subset))
+        session._send(evaluator._request(evaluator.COSTS, genes, subset))
+        costs = evaluator._cost_pairs(_reply_doubles(session), len(subset))
         compiled = [spec.compiled_scenarios[s] for s in subset]
         assert costs == [evaluator._mapping_costs(spec, m, compiled) for m in mappings]
         # a pool child has no search to scan: it replies with an error and keeps serving
-        assert isinstance(session._receive_values(), JobError)
+        session._send(evaluator._request(evaluator.TAUS, (), (0,)))
+        assert isinstance(_reply_doubles(session), JobError)
         ((results, _),) = evaluator.EvaluationChildren([session]).run([[(mappings[0].genes, subset)]])
         assert results == [evaluate_mapping(spec, mappings[0], subset, "worst")]
     finally:
         session.stop()
+    assert breaches == []
+    assert kinds == [evaluator.COSTS, evaluator.TAUS, evaluator.FITNESS]
     assert_no_child_process()
 
 

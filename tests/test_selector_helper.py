@@ -156,6 +156,69 @@ def test_helper_killed_between_passes_is_replaced(monkeypatch, spec, method):
     assert_no_child_process()
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and a second CPU",
+)
+def test_helper_is_pinned_at_fork_and_each_pass_keeps_this_thread_off_its_cpu(monkeypatch, spec):
+    # the helper runs on the largest CPU, a replacement too, and a pass's
+    # thread runs on the others until the pass ends, also when it raises
+    cpus = os.sched_getaffinity(0)
+    helper_cpu = max(cpus)
+    during, fail_next = [], []  # this thread's CPU set at each scan of a pass; fail the next scan
+    real_scan = selector_mod._SelectionHelper.scan
+
+    def scan(self, search, candidates):
+        during.append(os.sched_getaffinity(0))
+        if fail_next:
+            fail_next.clear()
+            raise ValueError("a pass that fails mid-way")
+        return real_scan(self, search, candidates)
+
+    monkeypatch.setattr(selector_mod._SelectionHelper, "scan", scan)
+    _force_helper(monkeypatch, True)
+    service = SelectorService(spec, k=8)
+
+    def run_pass(batch):
+        """One pass on a thread of its own: that thread's CPU set before
+        and after the pass, and what the pass raised, if anything."""
+
+        def body():
+            before = os.sched_getaffinity(0)
+            service.submit_training(batch)
+            try:
+                service.generation_tick()
+                raised = None
+            except ValueError as exc:
+                raised = str(exc)
+            return before, os.sched_getaffinity(0), raised
+
+        return call_with_deadline(body, "a selection pass", timeout=20)
+
+    pids = []
+    try:
+        for i, batch in enumerate(_offers(spec, passes=5)):
+            if i == 2:
+                os.kill(pids[-1], signal.SIGKILL)
+                os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)  # dead, still unreaped
+            if i == 4:
+                fail_next.append(1)
+            during.clear()
+            assert run_pass(batch) == (cpus, cpus, "a pass that fails mid-way" if i == 4 else None)
+            assert during and all(mask == cpus - {helper_cpu} for mask in during), i
+            pids.append(service._helper._pid)
+            assert os.sched_getaffinity(pids[-1]) == {helper_cpu}, i
+        assert pids[0] == pids[1] and pids[2] not in (0, pids[0])  # the pass after the kill forked a new helper
+        assert pids[4] == pids[2]
+        before, after, raised = run_pass([Mapping(genes=(99,) * 24)])  # an offer that does not fit the spec
+        assert (before, after) == (cpus, cpus) and "gene 0 = 99 out of range" in raised
+    finally:
+        service.stop()
+    _assert_reaped(pids[0])
+    _assert_reaped(pids[2])
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("method", SELECTION_METHODS)
 def test_helper_dying_mid_pass_costs_no_result(monkeypatch, spec, method, tmp_path):
     offers = _offers(spec)
