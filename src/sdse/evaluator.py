@@ -11,12 +11,13 @@ Each spec is compiled once, on first evaluation, into dense index form
 demand over processor speed per distinct speed, and one row of channel data
 demands. One kernel, :func:`_genes_costs`, evaluates a gene vector that
 fits the spec over a run of compiled scenarios and is the only evaluation
-path; :func:`_mapping_costs` checks a mapping first. The kernel groups the
-processes by processor and marks the external channels once per mapping;
-per scenario, each processor's busy time is a C-level gather from its
-speed's row, and the external data is the masked data row. Zero demands
-are stored as ``0.0``, so every ``math.fsum`` sees the same non-zero terms
-as a sum over the scenario's demands and results are exact to the bit.
+path; :func:`evaluate_mapping` and :func:`_mapping_costs` check a mapping
+first. The kernel groups the processes by processor and marks the external
+channels once per mapping; per scenario, each processor's busy time is a
+C-level gather from its speed's row, and the external data is the masked
+data row. Zero demands are stored as ``0.0``, so every ``math.fsum`` sees
+the same non-zero terms as a sum over the scenario's demands and results
+are exact to the bit.
 
 Wherever ``os.fork`` exists, the pool's mapping executor gives the pool
 one persistent forked child per worker (:class:`EvaluationChild`) through
@@ -40,16 +41,16 @@ helper sends a child a request while a reply to its previous one is
 unread, so a reply is not padded and a read takes whatever the pipe holds,
 up to 4 KiB.
 
-A share's protocol work is done in bulk on both sides of the pipe, since
-the submitting thread does it for every share while holding the GIL. The
-parent packs each gene vector of a request with one cached ``struct.Struct``
-and joins them (:meth:`EvaluationChildren._frame`), and reads a request's
-replies with one ``os.read`` and one unpack when they are all plain fitness
-replies (:func:`_fitness_values`). The child range-checks a request's
-genes once and packs each reply in one call (:func:`_fitness_replies`). A
-request that fails a bulk test (a gene out of range, an error reply,
-replies written early) takes the per-job path instead, with the same
-results, error texts and deadlines.
+Each step of a ``FITNESS`` job has one path. The parent packs each gene
+vector of a request with one ``struct.Struct`` per share and joins them
+(:meth:`EvaluationChildren._frame`); a job it cannot frame is evaluated
+alone in the parent (:func:`_evaluate_here`). The child range-checks a
+request's genes and subset once and packs each reply in one call
+(:func:`_fitness_replies`); a request that fails the check has each job
+evaluated by :func:`evaluate_mapping`, with the same results and error
+texts. The parent parses every read of replies with one parser
+(:func:`_whole_replies`), whether it holds fitness or error replies, all
+of a request's or the part written early.
 
 Every forked child, the pool's and the subset selector's helper alike,
 runs one serve loop (:func:`_serve`) over one request form, whose kind
@@ -197,11 +198,19 @@ def evaluate_mapping(
     subset: Sequence[int],
     aggregate: str = "average",
 ) -> Fitness:
-    """Fitness of a mapping over a subset of scenario indices."""
+    """Fitness of a mapping over a subset of scenario indices.
+
+    Raises ValueError for an empty subset, then for a mapping that does not
+    fit the spec, then for the first index outside 0..n-1."""
     if len(subset) == 0:
         raise ValueError("empty scenario subset")
-    scenarios = map(spec.compiled_scenarios.__getitem__, subset)
-    return Fitness(*_aggregate_costs(_mapping_costs(spec, mapping, scenarios), aggregate))
+    spec.check_mapping(mapping)
+    compiled = spec.compiled_scenarios
+    n = len(compiled)
+    if not (0 <= min(subset) and max(subset) < n):
+        bad = next(s for s in subset if not 0 <= s < n)
+        raise ValueError(f"scenario index {bad} out of range (scenarios: {n})")
+    return Fitness(*_aggregate_costs(_genes_costs(spec, mapping.genes, map(compiled.__getitem__, subset)), aggregate))
 
 
 def _aggregate_costs(costs: Sequence[tuple[float, float]], aggregate: str) -> tuple[float, float]:
@@ -325,7 +334,6 @@ _REQUEST = struct.Struct("<BBiii")  # kind, another request follows, lengths of 
 _REPLY = struct.Struct("<BI")  # 0 = doubles, 1 = error text; payload bytes
 _FITNESS = struct.Struct("<dd")  # value, energy
 _FITNESS_REPLY = struct.Struct("<BIdd")  # a whole fitness reply: _REPLY (0, _FITNESS.size), then _FITNESS
-_FITNESS_HEAD = _REPLY.pack(0, _FITNESS.size)  # the header of every fitness reply
 
 
 class MappingExecutor:
@@ -364,11 +372,12 @@ class ChildMappingExecutor(MappingExecutor):
         )
 
 
-def _evaluate_here(spec: SystemSpec, genes: Sequence[int], subset: Sequence[int], aggregate: str) -> "Fitness | JobError":
-    """A job evaluated in this process, as :class:`MappingExecutor` does it;
-    a failure becomes its JobError."""
+def _evaluate_here(spec: SystemSpec, job: MappingJob, aggregate: str) -> "Fitness | JobError":
+    """A job evaluated in this process by :class:`MappingExecutor`; a
+    failure becomes the JobError a pool gives it. The children's driver
+    sends every job it cannot frame here."""
     try:
-        return evaluate_mapping(spec, Mapping(genes=tuple(genes)), subset, aggregate)
+        return MappingExecutor(spec, aggregate)(job)
     except Exception as exc:
         return JobError.of(exc)
 
@@ -560,17 +569,14 @@ class EvaluationChildren:
 
     def _queue(self, child: EvaluationChild, jobs: Sequence[MappingJob]) -> _Share:
         """The share of ``jobs`` that ``child`` evaluates, its requests
-        framed. A spec with no processes has every job evaluated here,
-        since no request can delimit its empty gene vectors. A job that is
-        no (genes, subset) pair fails the whole share."""
+        framed. A spec with no processes has every job evaluated here
+        (:func:`_evaluate_here`), since no request can delimit its empty
+        gene vectors."""
         share = _Share(child, jobs)
-        try:
-            if child._spec.processes:
-                share.todo = self._frame(share, range(len(jobs)))
-            else:
-                share.results = [_evaluate_here(child._spec, genes, subset, child._aggregate) for genes, subset in jobs]
-        except Exception as exc:
-            share.results, share.todo = [JobError.of(exc)] * len(jobs), []
+        if child._spec.processes:
+            share.todo = self._frame(share, range(len(jobs)))
+        else:
+            share.results = [_evaluate_here(child._spec, job, child._aggregate) for job in jobs]
         return share
 
     def _frame(self, share: _Share, indices: Iterable[int]) -> list[tuple[bytes, list[int]]]:
@@ -578,22 +584,23 @@ class EvaluationChildren:
         order, each with the share indices of its jobs: one per run of
         consecutive jobs with the same subset, the bytes of
         ``_request(FITNESS, <their gene vectors>, subset)``, each vector
-        packed by one cached ``struct.Struct``. A job the packing rejects (a
-        gene count not the spec's, or a value no int32 holds) is evaluated
-        here instead, as :class:`MappingExecutor` does, with the same result
-        or error."""
+        packed by one ``struct.Struct`` built for this call. A job the
+        framing rejects (one that is not a (genes, subset) pair, genes that
+        are not iterable, a gene count not the spec's, or a value no int32
+        holds) is evaluated alone here instead (:func:`_evaluate_here`),
+        with the result or error in-process evaluation gives."""
         spec, aggregate, jobs = share.child._spec, share.child._aggregate, share.jobs
         n_genes = len(spec.processes)
-        pack = _int32s(n_genes).pack
+        pack = struct.Struct(f"<{n_genes}i").pack
         runs: list = []  # (subset, its packing, the packed vectors, their share indices)
         for i in indices:
-            genes, subset = jobs[i]
             try:
+                genes, subset = jobs[i]
                 vector = pack(*genes)
                 if not runs or subset is not runs[-1][0] and subset != runs[-1][0]:
-                    runs.append((subset, _int32s(len(subset)).pack(*subset), [], []))
-            except struct.error:
-                share.results[i] = _evaluate_here(spec, genes, subset, aggregate)
+                    runs.append((subset, struct.pack(f"<{len(subset)}i", *subset), [], []))
+            except Exception:
+                share.results[i] = _evaluate_here(spec, jobs[i], aggregate)
                 continue
             runs[-1][2].append(vector)
             runs[-1][3].append(i)
@@ -623,17 +630,13 @@ class EvaluationChildren:
         needs no further read. Call it once the reply pipe is readable or
         the share's deadline has passed; it waits no longer.
 
-        When the bytes read hold exactly the replies due and they are all
-        plain fitness replies, one unpack gives them all
-        (:func:`_fitness_values`); otherwise (an error reply, or replies
-        the child wrote early) the whole ones are parsed one by one and the
-        rest is kept for the next read."""
+        Every read is parsed by :func:`_whole_replies`, which takes the
+        whole replies it holds, whether fitness or error replies, all that
+        are due or the part the child wrote early, and keeps the rest for
+        the next read."""
         try:
-            data = share.data + share.child._read(share.deadline)
-            values = _fitness_values(data, len(share.asked))
-            if values is None:
-                replies, data = _whole_replies(data)
-                values = [JobError(p.decode()) if status else Fitness(*_FITNESS.unpack(p)) for status, p in replies]
+            replies, data = _whole_replies(share.data + share.child._read(share.deadline))
+            values = [JobError(p.decode()) if status else Fitness(*_FITNESS.unpack(p)) for status, p in replies]
         except Exception as exc:
             self._fail(share, exc)
             return True
@@ -669,27 +672,6 @@ def _request(kind: int, a: Sequence[int], b: Sequence[int], doubles: Sequence[fl
     """One request; ``follows`` tells the child that another comes soon."""
     n, m = len(a) + len(b), len(doubles)
     return struct.pack(f"<BBiii{n}i{m}d", kind, follows, len(a), len(b), m, *a, *b, *doubles)
-
-
-@functools.lru_cache(maxsize=64)
-def _int32s(n: int) -> struct.Struct:
-    """The packing of n int32 values, one per gene count or subset length."""
-    return struct.Struct(f"<{n}i")
-
-
-def _fitness_values(data: bytes, count: int) -> "list[Fitness] | None":
-    """The fitness of each reply in ``data``, or None unless it holds
-    exactly ``count`` plain fitness replies. A reply with the fitness header
-    is exactly ``_FITNESS_REPLY.size`` bytes long, so when the header bytes
-    at every multiple of that size all match, every reply starts where it
-    was checked."""
-    size = _FITNESS_REPLY.size
-    if len(data) != count * size:
-        return None
-    for k, byte in enumerate(_FITNESS_HEAD):
-        if data[k::size].count(byte) != count:
-            return None
-    return [Fitness(value, energy) for _, _, value, energy in _FITNESS_REPLY.iter_unpack(data)]
 
 
 def _whole_replies(data: bytes) -> "tuple[list[tuple[int, bytes]], bytes]":
@@ -774,23 +756,22 @@ def _fitness_replies(
     A is a share's vectors back to back when its length is a positive
     multiple of the gene count, and one vector otherwise.
 
-    The subset's compiled scenarios are looked up once for all vectors.
-    When all of run A passes one range check, each vector goes straight to
-    the kernel and its reply is packed in one call; otherwise each is
-    evaluated as :func:`evaluate_mapping` does it, with the same result or
-    error. The replies are returned to be written together, but once the
-    oldest one not yet written has waited half its deadline (reply i is due
-    (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after the request), those so far
-    are written first, so a share whose jobs each take under half the
-    timeout meets every deadline."""
+    When the subset is not empty and all of it and all of run A pass one
+    range check each, the subset's compiled scenarios are looked up once,
+    each vector goes straight to the kernel and its reply is packed in one
+    call; otherwise each is evaluated by :func:`evaluate_mapping`, with the
+    same result or error. The replies are returned to be written together,
+    but once the oldest one not yet written has waited half its deadline
+    (reply i is due (i + 1) × :data:`CHILD_JOB_TIMEOUT_S` after the
+    request), those so far are written first, so a share whose jobs each
+    take under half the timeout meets every deadline."""
     n_genes = len(spec.processes)
     whole = n_genes and a and not len(a) % n_genes
     vectors = [a[i : i + n_genes] for i in range(0, len(a), n_genes)] if whole else [a]
-    try:
-        scenarios = [spec.compiled_scenarios[s] for s in subset] if subset else None
-    except IndexError:
-        scenarios = None  # each job then fails as evaluate_mapping fails it
-    fits = whole and scenarios is not None and 0 <= min(a) and max(a) < spec.n_processors
+    compiled = spec.compiled_scenarios
+    in_range = subset and 0 <= min(subset) and max(subset) < len(compiled)
+    fits = whole and in_range and 0 <= min(a) and max(a) < spec.n_processors
+    scenarios = [compiled[s] for s in subset] if fits else None
     pack = _FITNESS_REPLY.pack
     half = CHILD_JOB_TIMEOUT_S / 2
     written = 0

@@ -1,4 +1,5 @@
-"""Barrier-phased batch work pools with persistent worker threads.
+"""Batch work pools: persistent forked children fed a share each by the
+submitting thread, or barrier-phased persistent worker threads.
 
 :class:`PoolCore` owns the lifecycle that every queue kind shares: it starts
 the worker threads once (aborting cleanly if a start fails), guards
@@ -142,8 +143,9 @@ class JobBatch:
 
 
 class PoolCore:
-    """Lifecycle shared by every queue kind: persistent workers, one batch
-    at a time.
+    """Lifecycle shared by every queue kind: one batch at a time, run by
+    persistent worker threads or, for an executor with ``children``, by
+    its children from the submitting thread.
 
     One designated thread calls submit_batch; submit_batch is not reentrant.
     With ``diagnostics=True`` the pool keeps per-batch fetch logs and checks

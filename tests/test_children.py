@@ -80,15 +80,23 @@ def test_child_job_errors_read_like_in_process_ones(two_proc_spec):
         ((0, 1), ()),  # empty subset
         ((0, 1), (5,)),  # scenario index out of range
         ((0, 2**40), (0,)),  # a gene no int32 holds
+        ((0, 1), (0,), "x"),  # not a pair
+        5,  # not iterable
+        (7, (0,)),  # genes not iterable
+        ((0, 1), (-1,)),  # negative scenario index
         ((0, 1), (0,)),  # a good job between the bad ones
     ]
     with make_pool("lockless", 1, MappingExecutor(two_proc_spec, "average")) as pool:
         expected = pool.submit_batch(jobs)
-    with _children(1, two_proc_spec) as pool:
-        got = pool.submit_batch(jobs)
-    assert got == expected
+    for queue_kind in QUEUE_KINDS:
+        for workers in (1, 2, 8):
+            with _children(workers, two_proc_spec, queue_kind=queue_kind) as pool:
+                got = pool.submit_batch(jobs)
+            assert got == expected, (queue_kind, workers)
     assert got[3] == JobError("ValueError: gene 0 = -1 out of range (processors: 2)")
     assert got[4] == JobError("ValueError: empty scenario subset")
+    assert got[5] == JobError("ValueError: scenario index 5 out of range (scenarios: 1)")
+    assert got[10] == JobError("ValueError: scenario index -1 out of range (scenarios: 1)")
     assert got[-1] == evaluate_mapping(two_proc_spec, Mapping(genes=(0, 1)), (0,))
 
 
@@ -251,14 +259,13 @@ def test_a_gene_out_of_range_sends_the_child_down_the_per_job_path(monkeypatch):
         assert len(checks) == n_checks  # one range check for all of run A, else one per vector
 
 
-def test_a_valid_share_costs_no_per_job_check_fitness_or_reply_parse(monkeypatch):
-    # the counts per valid 16-job share: child check_mapping calls, child
-    # Fitness objects and parent per-reply iterations are all zero
+def test_a_valid_share_costs_the_child_no_per_job_check_or_fitness(monkeypatch):
+    # the counts per valid 16-job share: child check_mapping calls and
+    # child Fitness objects are both zero
     spec = ga_instance()
     rng = random.Random(29)
     full = full_subset(spec)
     share = [(tuple(rng.randrange(3) for _ in range(6)), full) for _ in range(16)]
-    expected = _in_process(spec, share)
     counts = {"check_mapping": 0, "Fitness": 0}
     real_check, real_fitness = SystemSpec.check_mapping, evaluator.Fitness
 
@@ -280,14 +287,6 @@ def test_a_valid_share_costs_no_per_job_check_fitness_or_reply_parse(monkeypatch
         os.close(from_child)
     assert counts == {"check_mapping": 0, "Fitness": 0}
     assert len(replies) == 16 * evaluator._FITNESS_REPLY.size
-    monkeypatch.undo()
-
-    def no_replies(data):
-        raise AssertionError("a reply was parsed on its own")
-
-    monkeypatch.setattr(evaluator, "_whole_replies", no_replies)
-    assert [_hex(r) for r in _one_child(spec, share)] == [_hex(r) for r in expected]
-    assert_no_child_process()
 
 
 def test_replies_written_early_are_read_into_their_own_slots(monkeypatch):
@@ -378,7 +377,7 @@ def test_replies_split_at_any_byte_reach_their_slots(two_proc_spec, monkeypatch)
     share = [((0, 1), (0,)), ((1, 1), (0,)), ((0, 0), (0,)), ((0, 2), (0,)), ((1, 0), (0,))]
     request = evaluator._request(evaluator.FITNESS, [g for genes, _ in share for g in genes], (0,))
     replies = _read_all(_serve_requests(two_proc_spec, request))
-    expected = [evaluator._evaluate_here(two_proc_spec, genes, subset, "average") for genes, subset in share]
+    expected = [evaluator._evaluate_here(two_proc_spec, job, "average") for job in share]
     assert expected[1] == JobError("KeyError: 1")
     assert expected[3] == JobError("ValueError: gene 1 = 2 out of range (processors: 2)")
     for cut in range(1, len(replies)):
